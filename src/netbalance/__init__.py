@@ -30,7 +30,6 @@ from .potentials import (
 )
 from .protocol import (
     LoadState,
-    MoveRecord,
     ProtocolParams,
     all_on_one_state,
     default_alpha,
@@ -43,7 +42,7 @@ from .protocol import (
     non_nash_edges,
     random_placement_state,
     random_task_weights,
-    step_round,
+    step_round_totals,
     weighted_all_on_one,
     weighted_random_placement,
 )

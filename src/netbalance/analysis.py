@@ -403,7 +403,7 @@ def _granularity_checks(case: CorpusCase, tol) -> list[LemmaCheck]:
     """Strict threshold implies the strengthened gap 1/s_j + eps/(s_i*s_j), exactly."""
     g, sp, state = case.graph, case.speeds, case.state
     eps = sp.granularity
-    loads = [Fraction(c) / s for c, s in zip(state.counts, sp.speeds)]
+    loads = [Fraction(c) / s for c, s in zip(state.counts.tolist(), sp.speeds)]
     checks = []
     worst = None
     for i, j in g.directed_edges():

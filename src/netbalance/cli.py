@@ -34,6 +34,7 @@ from .protocol import (
     all_on_one_state,
     random_placement_state,
     random_task_weights,
+    resolve_alpha,
     weighted_all_on_one,
     weighted_random_placement,
 )
@@ -410,8 +411,7 @@ def cmd_run(config_path, out_dir_override=None) -> int:
             "bounds": [{"name": b.name, "lhs": b.lhs, "rhs": b.rhs, "holds": b.holds}
                        for b in spec_sum.bound_report],
         },
-        "alpha": str(params.alpha) if params.alpha is not None else
-                 str(4 * sp.s_max),
+        "alpha": str(resolve_alpha(params, sp)),
         "psi_c": psi_c,
         "psi_threshold": 4.0 * psi_c,
         "gamma": gamma_factor(g, sp, lam2),
@@ -464,14 +464,6 @@ def cmd_spectra(args) -> int:
 
 def cmd_verify(args) -> int:
     cases = default_corpus(nash_only=(args.corpus == "nash-only"))
-    if args.alpha is not None:
-        alpha = Fraction(args.alpha)
-        for case in cases:
-            floor = 4 * case.speeds.s_max
-            if alpha < floor:
-                raise ConfigError(
-                    f"alpha = {alpha} violates the protocol floor 4*s_max = {floor} "
-                    f"on corpus case {case.name}")
     report = analysis.verify_lemma_suite(cases, tol=args.tol)
     payload = {
         "passed": report.passed,
@@ -519,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the lemma-verification suite")
     p_ver.add_argument("--corpus", choices=("default", "nash-only"), default="default")
-    p_ver.add_argument("--alpha", default=None,
-                       help="protocol alpha override; must respect the 4*s_max floor")
     p_ver.add_argument("--tol", type=float, default=1e-9)
     p_ver.add_argument("--report", default="verify_report.json")
     return parser

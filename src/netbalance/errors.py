@@ -18,7 +18,3 @@ class EigensolverError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class VerificationError(RuntimeError):
-    """A lemma or invariant check failed on a concrete state."""

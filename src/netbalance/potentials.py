@@ -52,17 +52,6 @@ class PotentialSnapshot:
     l_delta: float
 
 
-SNAPSHOT_CSV_HEADER = "round,phi0,phi1,psi0,psi1,l_delta,moves"
-
-
-def snapshot_csv_row(snap: PotentialSnapshot, moves: int) -> str:
-    return ",".join(
-        [str(snap.round)]
-        + [format(v, ".17g") for v in (snap.phi0, snap.phi1, snap.psi0, snap.psi1, snap.l_delta)]
-        + [str(moves)]
-    )
-
-
 def psi0_value(sp: SpeedProfile, state: LoadState) -> float:
     """sum_i e_i^2 / s_i, the cancellation-stable route."""
     e = state.deviations(sp)
@@ -133,7 +122,7 @@ def lambda_term(g: GraphTopology, sp: SpeedProfile, state: LoadState,
 def _exact_uniform_moments(g, sp, state, params):
     """(mu_k, var_k) as exact Fractions; uniform mode, rational speeds."""
     alpha = resolve_alpha(params, sp)
-    counts = state.counts
+    counts = state.counts.tolist()  # Python ints: no numpy scalar meets a Fraction
     loads = [Fraction(c) / s for c, s in zip(counts, sp.speeds)]
     n = g.node_count
     mu = [Fraction(0)] * n
@@ -169,7 +158,8 @@ def _float_weighted_moments(g, sp, state, params):
     ev = _edge_view(g)
     prob, trig = _per_task_probability_array(g, sp, state, params)
     weights = state.node_weights()
-    sq = np.array([sum(w * w for w in t) for t in state.tasks])
+    sq = np.bincount(state.owner, weights=state.weights * state.weights,
+                     minlength=state.n)
     n = g.node_count
     mu = np.zeros(n)
     var = np.zeros(n)

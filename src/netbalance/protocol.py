@@ -7,18 +7,20 @@ evaluated against the round-start state, and every coin flip comes from a
 counter-based stream keyed by (seed, round, node), so a round's outcome is
 independent of evaluation order and reproducible draw-by-draw.
 
-In uniform mode tasks are anonymous, so a node's task decisions collapse into
-one multinomial draw over (move-to-neighbor..., stay); load comparisons are
-done exactly on cross-multiplied integers. In weighted mode each task is an
-individual actor (slot-indexed within its node's stream) and comparisons are
-strict floating-point: ties resolve to "no move".
+A state is a per-node task count plus, for weighted tasks, one flat weight
+array grouped by node. In uniform mode tasks are anonymous, so a node's task
+decisions collapse into one multinomial draw over (move-to-neighbor...,
+stay); load comparisons are done exactly on cross-multiplied integers. In
+weighted mode each task is an individual actor (slot-indexed within its
+node's stream) and comparisons are strict floating-point: ties resolve to
+"no move".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -44,65 +46,87 @@ ALGORITHM2 = "algorithm2"
 _INT_GUARD = 1 << 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadState:
-    """Assignment of tasks to nodes: integer counts or per-node weight multisets."""
+    """Assignment of tasks to nodes, held in two arrays.
 
-    mode: str
-    counts: tuple[int, ...] | None = None
-    tasks: tuple[tuple[float, ...], ...] | None = None
+    counts[i] is the number of tasks on node i. weights is None for unit
+    tasks; for weighted tasks it is one flat array of every task weight,
+    grouped by node (node 0's tasks first). Unit tasks are the weighted case
+    with every weight 1, so W_i is counts[i] or the sum of node i's weights.
+    Both arrays are read-only; equality is by value.
+    """
+
+    counts: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode == MODE_UNIFORM:
-            if self.counts is None or self.tasks is not None:
-                raise ConfigError("uniform state needs counts and no task lists")
-            if any(c < 0 for c in self.counts):
-                raise ConfigError("task counts must be non-negative")
-        elif self.mode == MODE_WEIGHTED:
-            if self.tasks is None or self.counts is not None:
-                raise ConfigError("weighted state needs task lists and no counts")
-        else:
-            raise ConfigError(f"unknown state mode {self.mode!r}")
+        if (self.counts < 0).any():
+            raise ConfigError("task counts must be non-negative")
+        if self.weights is not None and len(self.weights) != self.counts.sum():
+            raise ConfigError("weighted state needs one weight per task")
+        self.counts.setflags(write=False)
+        if self.weights is not None:
+            self.weights.setflags(write=False)
 
     @classmethod
     def uniform(cls, counts: Iterable[int]) -> "LoadState":
-        return cls(mode=MODE_UNIFORM, counts=tuple(int(c) for c in counts))
+        try:
+            return cls(np.array(list(counts), dtype=np.int64))
+        except OverflowError as exc:
+            raise ConfigError("task counts too large for 64-bit integers") from exc
 
     @classmethod
     def weighted(cls, task_lists) -> "LoadState":
-        """Ingest task weights, enforcing w in (0, 1].
+        """Ingest per-node task weights, enforcing w in (0, 1].
 
         Rounds only move existing tasks, so the range check lives here rather
         than on the per-round constructor path.
         """
-        tasks = tuple(tuple(float(w) for w in node) for node in task_lists)
-        for node_tasks in tasks:
-            for w in node_tasks:
-                if not (0.0 < w <= 1.0):
-                    raise ConfigError(f"task weight {w} outside (0, 1]")
-        return cls(mode=MODE_WEIGHTED, tasks=tasks)
+        lists = [[float(w) for w in node] for node in task_lists]
+        weights = np.array([w for node in lists for w in node], dtype=float)
+        bad = np.flatnonzero(~((weights > 0.0) & (weights <= 1.0)))
+        if bad.size:
+            raise ConfigError(f"task weight {weights[bad[0]]} outside (0, 1]")
+        return cls(np.array([len(node) for node in lists], dtype=np.int64), weights)
+
+    def __eq__(self, other):
+        if not isinstance(other, LoadState):
+            return NotImplemented
+        if (self.weights is None) != (other.weights is None):
+            return False
+        return np.array_equal(self.counts, other.counts) and (
+            self.weights is None or np.array_equal(self.weights, other.weights))
+
+    @property
+    def mode(self) -> str:
+        return MODE_UNIFORM if self.weights is None else MODE_WEIGHTED
 
     @property
     def n(self) -> int:
-        return len(self.counts) if self.mode == MODE_UNIFORM else len(self.tasks)
+        return len(self.counts)
 
     @property
     def task_count(self) -> int:
-        if self.mode == MODE_UNIFORM:
-            return sum(self.counts)
-        return sum(len(t) for t in self.tasks)
+        return int(self.counts.sum())
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The node of each entry of `weights`."""
+        return np.repeat(np.arange(self.n), self.counts)
+
+    @cached_property
+    def _node_weights(self) -> np.ndarray:
+        if self.weights is None:
+            w = self.counts.astype(float)
+        else:
+            w = np.bincount(self.owner, weights=self.weights, minlength=self.n)
+        w.setflags(write=False)
+        return w
 
     def node_weights(self) -> np.ndarray:
-        """W_i per node as a read-only float array (cached)."""
-        cached = self.__dict__.get("_node_weights")
-        if cached is None:
-            if self.mode == MODE_UNIFORM:
-                cached = np.array(self.counts, dtype=float)
-            else:
-                cached = np.array([sum(t) for t in self.tasks], dtype=float)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_node_weights", cached)
-        return cached
+        """W_i per node as a read-only float array, summed from this state's tasks."""
+        return self._node_weights
 
     def total_weight(self) -> float:
         return float(self.node_weights().sum())
@@ -117,17 +141,18 @@ class LoadState:
 
     def deviations_exact(self, sp: SpeedProfile) -> tuple[Fraction, ...]:
         """Exact deviations; uniform mode only (weighted weights are inexact)."""
-        if self.mode != MODE_UNIFORM:
+        if self.weights is not None:
             raise ConfigError("exact deviations are defined for uniform mode only")
-        total = Fraction(sum(self.counts))
-        scale = total / sp.total_capacity
-        return tuple(Fraction(c) - scale * s for c, s in zip(self.counts, sp.speeds))
+        counts = self.counts.tolist()
+        scale = Fraction(sum(counts)) / sp.total_capacity
+        return tuple(Fraction(c) - scale * s for c, s in zip(counts, sp.speeds))
 
     def to_payload(self) -> dict:
         """JSON-compatible serialization (counterexample artifacts, configs)."""
-        if self.mode == MODE_UNIFORM:
-            return {"mode": self.mode, "counts": list(self.counts)}
-        return {"mode": self.mode, "tasks": [list(t) for t in self.tasks]}
+        if self.weights is None:
+            return {"mode": MODE_UNIFORM, "counts": self.counts.tolist()}
+        per_node = np.split(self.weights, np.cumsum(self.counts)[:-1])
+        return {"mode": MODE_WEIGHTED, "tasks": [t.tolist() for t in per_node]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "LoadState":
@@ -168,23 +193,7 @@ def exact_ne_alpha(sp: SpeedProfile) -> Fraction:
 def resolve_alpha(params: ProtocolParams, sp: SpeedProfile) -> Fraction:
     if params.alpha is None:
         return default_alpha(sp)
-    if isinstance(params.alpha, float):
-        return Fraction(params.alpha)  # floats are exact binary rationals
     return Fraction(params.alpha)
-
-
-@lru_cache(maxsize=1024)
-def _alpha_float(params: ProtocolParams, sp: SpeedProfile) -> float:
-    return float(resolve_alpha(params, sp))
-
-
-class MoveRecord(NamedTuple):
-    """Aggregated migration over one directed edge in one round."""
-
-    src: int
-    dst: int
-    count: int
-    weight: float
 
 
 class _EdgeView(NamedTuple):
@@ -228,10 +237,10 @@ def _denominators(g: GraphTopology, sp: SpeedProfile, alpha: float) -> np.ndarra
 def _trigger_mask(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray:
     """Directed-edge mask for the strict migration condition l_i - l_j > 1/s_j."""
     ev = _edge_view(g)
-    if state.mode == MODE_UNIFORM:
+    if state.weights is None:
         # Exact: w_i*n_j - w_j*n_i > n_i with s_i = n_i * eps.
         mult = _mult_view(g, sp)
-        w = np.array(state.counts, dtype=np.int64)
+        w = state.counts
         if w.size and int(w.max()) * int(mult.max() + 1) >= _INT_GUARD:
             raise ConfigError("task counts too large for exact 64-bit comparisons")
         return w[ev.src] * mult[ev.dst] - w[ev.dst] * mult[ev.src] > mult[ev.src]
@@ -244,7 +253,7 @@ def _flow_array(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     """(expected flow f_e, trigger mask) over directed edges."""
     ev = _edge_view(g)
     trig = _trigger_mask(g, sp, state)
-    denom = _denominators(g, sp, _alpha_float(params, sp))
+    denom = _denominators(g, sp, float(resolve_alpha(params, sp)))
     loads = state.loads(sp)
     flow = np.zeros(len(ev.src))
     idx = np.flatnonzero(trig)
@@ -259,7 +268,7 @@ def _per_task_probability_array(g, sp, state, params) -> tuple[np.ndarray, np.nd
     weights = state.node_weights()
     if params.printed_weighted_rule:
         trig = _trigger_mask(g, sp, state)
-        alpha = _alpha_float(params, sp)
+        alpha = float(resolve_alpha(params, sp))
         prob = np.zeros(len(ev.src))
         idx = np.flatnonzero(trig)
         if idx.size:
@@ -336,31 +345,14 @@ def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     return bool((lhs <= sp.inv_floats[ev.dst]).all())
 
 
-def step_round(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-               params: ProtocolParams, round_index: int) -> tuple[LoadState, list[MoveRecord]]:
-    """Execute one synchronous round; returns the new state and the moves made.
+def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
+                      params: ProtocolParams, round_index: int) -> tuple[LoadState, int]:
+    """Execute one synchronous round; returns the new state and the number of moved tasks.
 
     Total task weight is conserved; with identical inputs the result is
     identical (all randomness is keyed by (rng_seed, round_index, node)).
     """
-    new_state, per_edge = _step_core(g, sp, state, params, round_index)
-    ev = _edge_view(g)
-    moves = [
-        MoveRecord(int(ev.src[e]), int(ev.dst[e]), c, w)
-        for e, c, w in per_edge
-    ]
-    return new_state, moves
-
-
-def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                      params: ProtocolParams, round_index: int) -> tuple[LoadState, int]:
-    """step_round without building move records; identical sampling path."""
-    new_state, per_edge = _step_core(g, sp, state, params, round_index)
-    return new_state, sum(c for _, c, _ in per_edge)
-
-
-def _step_core(g, sp, state, params, round_index):
-    if state.mode == MODE_UNIFORM:
+    if state.weights is None:
         if params.variant != ALGORITHM1:
             raise ConfigError("uniform-task states run under variant algorithm1")
         return _step_uniform(g, sp, state, params, round_index)
@@ -373,11 +365,8 @@ def _step_uniform(g, sp, state, params, round_index):
     ev = _edge_view(g)
     flow, trig = _flow_array(g, sp, state, params)
     idx = np.flatnonzero(trig)
-    if idx.size == 0:
-        return state, ()
-    counts = np.array(state.counts, dtype=np.int64)
-    delta = np.zeros(g.node_count, dtype=np.int64)
-    per_edge = []
+    counts = state.counts
+    moved = np.zeros(len(ev.src), dtype=np.int64)   # tasks moved per directed edge
     prefix = key_prefix(params.rng_seed, STREAM_ROUND, round_index)
     for i in np.unique(ev.src[idx]):
         lo, hi = int(ev.ptr[i]), int(ev.ptr[i + 1])
@@ -393,35 +382,27 @@ def _step_uniform(g, sp, state, params, round_index):
         pvals[:-1] = q
         pvals[-1] = 1.0 - q.sum()
         gen = generator_from_prefix(prefix, int(i))
-        moved = gen.multinomial(wi, pvals)[:-1]
-        nz = np.flatnonzero(moved)
-        if nz.size:
-            dsts = ev.dst[lo:hi][nz]
-            np.add.at(delta, dsts, moved[nz])
-            delta[i] -= int(moved[nz].sum())
-            per_edge.extend(
-                (lo + int(k), int(moved[k]), float(moved[k])) for k in nz
-            )
-    if not per_edge:
-        return state, ()
-    new_state = LoadState.uniform(counts + delta)
-    return new_state, per_edge
+        moved[lo:hi] = gen.multinomial(wi, pvals)[:-1]
+    total = int(moved.sum())
+    if total == 0:
+        return state, 0
+    new_counts = counts.copy()
+    np.add.at(new_counts, ev.dst, moved)
+    np.subtract.at(new_counts, ev.src, moved)
+    return LoadState(new_counts), total
 
 
 def _step_weighted(g, sp, state, params, round_index):
     ev = _edge_view(g)
     prob, trig = _per_task_probability_array(g, sp, state, params)
     idx = np.flatnonzero(trig)
-    if idx.size == 0:
-        return state, ()
-    kept: dict[int, tuple[float, ...]] = {}
-    incoming: dict[int, list[float]] = {}
-    per_edge: dict[int, list] = {}
-    delta = np.zeros(g.node_count)
+    counts = state.counts
+    starts = np.cumsum(counts) - counts
+    dest = state.owner.copy()                       # each task's node after the round
+    moved = np.zeros(len(dest), dtype=bool)
     prefix = key_prefix(params.rng_seed, STREAM_ROUND, round_index)
     for i in np.unique(ev.src[idx]):
-        node_tasks = state.tasks[i]
-        k = len(node_tasks)
+        k = int(counts[i])
         if k == 0:
             continue
         lo, hi = int(ev.ptr[i]), int(ev.ptr[i + 1])
@@ -429,37 +410,18 @@ def _step_weighted(g, sp, state, params, round_index):
         # Slot-indexed draws: neighbor pick then acceptance coin per task slot.
         picks = gen.integers(0, hi - lo, size=k)
         coins = gen.random(k)
-        p_here = prob[lo:hi]
-        moving = coins < p_here[picks]
-        if not moving.any():
-            continue
-        tw = np.array(node_tasks)
-        kept[int(i)] = tuple(tw[~moving])
-        delta[i] -= float(tw[moving].sum())
-        for slot in np.flatnonzero(moving):
-            e = lo + int(picks[slot])
-            j = int(ev.dst[e])
-            w = float(tw[slot])
-            incoming.setdefault(j, []).append(w)
-            delta[j] += w
-            rec = per_edge.get(e)
-            if rec is None:
-                per_edge[e] = [1, w]
-            else:
-                rec[0] += 1
-                rec[1] += w
-    if not per_edge:
-        return state, ()
-    new_lists = []
-    for j in range(g.node_count):
-        base = kept.get(j, state.tasks[j])
-        extra = incoming.get(j)
-        new_lists.append(base + tuple(extra) if extra else base)
-    new_state = LoadState(mode=MODE_WEIGHTED, tasks=tuple(new_lists))
-    new_w = state.node_weights() + delta
-    new_w.setflags(write=False)
-    object.__setattr__(new_state, "_node_weights", new_w)
-    return new_state, [(e, c, w) for e, (c, w) in sorted(per_edge.items())]
+        moving = coins < prob[lo:hi][picks]
+        a = int(starts[i])
+        moved[a:a + k] = moving
+        dest[a:a + k][moving] = ev.dst[lo:hi][picks[moving]]
+    total = int(moved.sum())
+    if total == 0:
+        return state, 0
+    # Stable regroup by destination: kept tasks first, then arrivals in
+    # (source node, slot) order.
+    order = np.lexsort((moved, dest))
+    new_counts = np.bincount(dest, minlength=g.node_count)
+    return LoadState(new_counts, state.weights[order]), total
 
 
 # ---------------------------------------------------------------------------

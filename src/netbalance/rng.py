@@ -3,7 +3,9 @@
 All randomness in the package flows from a 64-bit master seed through Philox
 keys derived from a (seed, stream-tag, index...) path. Each consumer gets its
 own stream, so results are independent of evaluation order and any single
-draw can be reproduced in isolation. OS entropy is never consulted.
+draw can be reproduced in isolation. The key alone fixes every draw: each
+`Philox(key=...)` still builds a default `SeedSequence`, which reads OS
+entropy and then discards it.
 """
 
 from __future__ import annotations

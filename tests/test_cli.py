@@ -166,11 +166,13 @@ def test_cmd_verify_nash_only(tmp_path):
     assert not any(c["lemma"] == "psi1-drop-floor" for c in payload["checks"])
 
 
-def test_cmd_verify_alpha_misconfiguration(tmp_path):
-    # alpha below the 4*s_max protocol floor is a configuration error (exit 2),
-    # distinct from a verification failure (exit 1).
+def test_cmd_verify_rejects_alpha_flag(tmp_path):
+    # The suite's bounds hold at alpha = 4*s_max, so verify takes no alpha:
+    # the flag is a usage error (exit 2) and no report is written.
     report = tmp_path / "report.json"
-    assert main(["verify", "--alpha", "1", "--report", str(report)]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--alpha", "8", "--report", str(report)])
+    assert exc.value.code == 2
     assert not report.exists()
 
 

@@ -18,7 +18,6 @@ from netbalance.potentials import (
     phi1_drop_routes,
     psi0_value,
     snapshot,
-    snapshot_csv_row,
     variance_bound,
 )
 from netbalance.protocol import (
@@ -218,10 +217,3 @@ def test_weighted_oracle_against_monte_carlo():
     se = drops.std(ddof=1) / math.sqrt(n)
     assert abs(drops.mean() - exact) <= 4 * se
 
-
-def test_snapshot_csv_row_format():
-    snap = snapshot(K2, UNI2, LoadState.uniform((4, 0)), round_index=3)
-    row = snapshot_csv_row(snap, moves=2)
-    fields = row.split(",")
-    assert fields[0] == "3" and fields[-1] == "2"
-    assert float(fields[3]) == pytest.approx(8.0)  # psi0 column
