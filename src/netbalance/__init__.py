@@ -26,6 +26,7 @@ from .potentials import (
     exact_variance_sum,
     gamma_factor,
     lambda_term,
+    node_change_moments,
     snapshot,
 )
 from .protocol import (

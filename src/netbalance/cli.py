@@ -32,6 +32,7 @@ from .protocol import (
     LoadState,
     ProtocolParams,
     all_on_one_state,
+    exact_ne_alpha,
     random_placement_state,
     random_task_weights,
     resolve_alpha,
@@ -75,7 +76,7 @@ class ExperimentConfig:
     tasks_weights: str | None = None
     tasks_seed: int | None = None
     protocol_variant: str | None = None
-    protocol_alpha: str | None = None
+    protocol_alpha: Fraction | None = None
     protocol_eps: float | None = None
     protocol_psi_constant: int = 8
     protocol_printed_rule: bool = False
@@ -121,7 +122,7 @@ CONFIG_KEYS = {
     "tasks.weights": ("tasks_weights", str, str),
     "tasks.seed": ("tasks_seed", int, str),
     "protocol.variant": ("protocol_variant", str, str),
-    "protocol.alpha": ("protocol_alpha", str, str),
+    "protocol.alpha": ("protocol_alpha", Fraction, str),
     "protocol.eps": ("protocol_eps", float, fmt17),
     "protocol.psi_constant": ("protocol_psi_constant", int, str),
     "protocol.printed_rule": ("protocol_printed_rule", _parse_bool, _ser_bool),
@@ -157,7 +158,7 @@ def parse_config(text: str) -> ExperimentConfig:
             values[attr] = parse(val)
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key}: {exc}") from exc
     return ExperimentConfig(**values)
 
@@ -224,17 +225,23 @@ def _master_seed(cfg: ExperimentConfig) -> int:
 
 
 def _parse_weight_lists(raw: str, n: int) -> list[list[float]]:
-    lists: list[list[float]] = [[] for _ in range(n)]
+    lists: dict[int, list[float]] = {}
     for chunk in raw.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         node_part, _, weight_part = chunk.partition(":")
-        node = int(node_part)
+        try:
+            node = int(node_part)
+            weights = [float(w) for w in weight_part.split(",") if w.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"tasks.weights entry {chunk!r}: {exc}") from exc
         if not 0 <= node < n:
             raise ConfigError(f"tasks.weights node {node} out of range")
-        lists[node] = [float(w) for w in weight_part.split(",") if w.strip()]
-    return lists
+        if node in lists:
+            raise ConfigError(f"tasks.weights lists node {node} twice")
+        lists[node] = weights
+    return [lists.get(i, []) for i in range(n)]
 
 
 def build_init_spec(cfg: ExperimentConfig, g: GraphTopology):
@@ -245,7 +252,10 @@ def build_init_spec(cfg: ExperimentConfig, g: GraphTopology):
     if mode == "explicit-counts":
         if not cfg.tasks_counts:
             raise ConfigError("explicit-counts tasks need tasks.counts")
-        counts = [int(c) for c in cfg.tasks_counts.split(",")]
+        try:
+            counts = [int(c) for c in cfg.tasks_counts.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"tasks.counts: {exc}") from exc
         if len(counts) != n:
             raise ConfigError(f"tasks.counts has {len(counts)} entries for {n} nodes")
         state = LoadState.uniform(counts)
@@ -280,12 +290,16 @@ def build_init_spec(cfg: ExperimentConfig, g: GraphTopology):
     raise ConfigError(f"unknown tasks.mode {mode!r}")
 
 
-def build_params(cfg: ExperimentConfig) -> ProtocolParams:
+def build_params(cfg: ExperimentConfig, sp: SpeedProfile) -> ProtocolParams:
+    """Protocol knobs; alpha defaults to 4*s_max, or to 4*s_max/eps for unit
+    tasks under the exact-ne stop, where the exact-equilibrium cap is proven."""
+    unit_tasks = cfg.tasks_mode in ("uniform", "explicit-counts")
     variant = cfg.protocol_variant
     if variant is None:
-        variant = ALGORITHM1 if cfg.tasks_mode in ("uniform", "explicit-counts") \
-            else ALGORITHM2
-    alpha = Fraction(cfg.protocol_alpha) if cfg.protocol_alpha else None
+        variant = ALGORITHM1 if unit_tasks else ALGORITHM2
+    alpha = cfg.protocol_alpha
+    if alpha is None and cfg.run_stop == "exact-ne" and unit_tasks:
+        alpha = exact_ne_alpha(sp)
     return ProtocolParams(rng_seed=_master_seed(cfg), variant=variant, alpha=alpha,
                           printed_weighted_rule=cfg.protocol_printed_rule)
 
@@ -370,7 +384,7 @@ def cmd_run(config_path, out_dir_override=None) -> int:
     g = build_graph(cfg, base)
     sp = build_speeds(cfg, g.node_count)
     init_spec = build_init_spec(cfg, g)
-    params = build_params(cfg)
+    params = build_params(cfg, sp)
     stop = build_stop(cfg)
 
     out_dir = Path(out_dir_override) if out_dir_override else base / cfg.output_directory

@@ -16,14 +16,18 @@ variance var_k are exact, and
     E[drop psi0] = -sum_k (2 e_k mu_k + mu_k^2 + var_k) / s_k
     E[drop psi1] = E[drop psi0] - sum_k mu_k / s_k.
 
-In uniform mode the oracles run in rational arithmetic and return exact
-Fractions; weighted mode uses the same closed form in floating point.
+One moments pass (`node_change_moments`) serves both task modes; the drop
+assemblers are functions of its result. Exactness is set by the number type
+of the pass's inputs: unit tasks give Python ints against Fraction speeds and
+alpha, so the oracles return exact Fractions; weighted tasks give floats, and
+the same closed form runs in floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +35,10 @@ from .errors import ConfigError
 from .graphs import GraphTopology
 from .protocol import (
     LoadState,
-    MODE_UNIFORM,
     ProtocolParams,
     _edge_view,
     _flow_array,
-    _per_task_probability_array,
+    check_variant,
     expected_flow,
     resolve_alpha,
 )
@@ -119,123 +122,105 @@ def lambda_term(g: GraphTopology, sp: SpeedProfile, state: LoadState,
 # Exact per-node moments of the one-round weight change
 
 
-def _exact_uniform_moments(g, sp, state, params):
-    """(mu_k, var_k) as exact Fractions; uniform mode, rational speeds."""
-    alpha = resolve_alpha(params, sp)
-    counts = state.counts.tolist()  # Python ints: no numpy scalar meets a Fraction
-    loads = [Fraction(c) / s for c, s in zip(counts, sp.speeds)]
-    n = g.node_count
-    mu = [Fraction(0)] * n
-    var = [Fraction(0)] * n
-    out_q = [Fraction(0)] * n
-    for i in range(n):
-        wi = counts[i]
-        deg_i = g.degrees[i]
-        for j in g.neighbors[i]:
-            gap = loads[i] - loads[j]
-            if gap <= Fraction(1) / sp.speeds[j]:
-                continue
-            dij = max(deg_i, g.degrees[j])
-            if params.printed_weighted_rule:
-                p = Fraction(deg_i, dij) * Fraction(wi - counts[j]) / (2 * alpha * wi)
-            else:
-                p = gap * deg_i / (alpha * dij * (1 / sp.speeds[i] + 1 / sp.speeds[j]) * wi)
-            # Mirror the engine's clamp of the migration probability to [0, 1].
-            p = min(max(p, Fraction(0)), Fraction(1))
-            q = p / deg_i  # per-task chance of ending on j; wi >= 1 on triggered edges
-            f = q * wi
-            mu[i] -= f
-            mu[j] += f
-            var[j] += wi * q * (1 - q)
-            out_q[i] += q
-    for i in range(n):
-        var[i] += counts[i] * out_q[i] * (1 - out_q[i])
-    return mu, var
+class NodeMoments(NamedTuple):
+    """Mean mu and variance var of each node's one-round weight change.
 
+    deviations (e_i) and inv (1/s_i) are carried in the same number type, so
+    the drop assemblers below combine them without knowing the task mode.
+    """
 
-def _float_weighted_moments(g, sp, state, params):
-    """(mu_k, var_k) as floats from per-task Bernoulli contributions."""
-    ev = _edge_view(g)
-    prob, trig = _per_task_probability_array(g, sp, state, params)
-    weights = state.node_weights()
-    sq = np.bincount(state.owner, weights=state.weights * state.weights,
-                     minlength=state.n)
-    n = g.node_count
-    mu = np.zeros(n)
-    var = np.zeros(n)
-    out_q = np.zeros(n)
-    deg = ev.deg
-    idx = np.flatnonzero(trig)
-    for e in idx:
-        i, j = int(ev.src[e]), int(ev.dst[e])
-        q = min(prob[e], 1.0) / deg[i]  # per-task chance of ending on j
-        flow = weights[i] * q
-        mu[i] -= flow
-        mu[j] += flow
-        var[j] += sq[i] * q * (1.0 - q)
-        out_q[i] += q
-    for i in range(n):
-        var[i] += sq[i] * out_q[i] * (1.0 - out_q[i])
-    return mu, var
+    mu: list
+    var: list
+    deviations: list
+    inv: list
 
 
 def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                        params: ProtocolParams):
-    """Exact mean and variance of the net weight change per node, one round."""
-    if state.mode == MODE_UNIFORM:
-        return _exact_uniform_moments(g, sp, state, params)
-    return _float_weighted_moments(g, sp, state, params)
+                        params: ProtocolParams) -> NodeMoments:
+    """Exact mean and variance of the net weight change per node, one round.
+
+    One pass over the per-node inputs (W_i, sum of w^2 on i, 1/s_i, alpha);
+    their number type sets the exactness. Unit tasks feed Python ints against
+    Fraction speeds and alpha, so every value is an exact Fraction. Weighted
+    tasks feed floats, and loads are the products W_i * (1/s_i) that the
+    round kernel compares, so both trigger on the same edges.
+    """
+    check_variant(state, params)
+    alpha = resolve_alpha(params, sp)
+    if state.weights is None:
+        w = state.counts.tolist()   # Python ints: no numpy scalar meets a Fraction
+        sq = w
+        inv = [1 / s for s in sp.speeds]
+        share = Fraction(sum(w)) / sp.total_capacity
+        e = [wi - share * s for wi, s in zip(w, sp.speeds)]
+        zero = Fraction(0)
+    else:
+        w = state.node_weights().tolist()
+        sq = np.bincount(state.owner, weights=state.weights * state.weights,
+                         minlength=state.n).tolist()
+        inv = sp.inv_floats.tolist()
+        e = state.deviations(sp).tolist()
+        alpha = float(alpha)
+        zero = 0.0
+    one = zero + 1   # typed: clamping to a bare int 1 would make q = 1 / deg_i a float
+    loads = [wi * vi for wi, vi in zip(w, inv)]
+    n = g.node_count
+    mu = [zero] * n
+    var = [zero] * n
+    out_q = [zero] * n
+    for i in range(n):
+        deg_i = g.degrees[i]
+        for j in g.neighbors[i]:
+            gap = loads[i] - loads[j]
+            if gap <= inv[j]:
+                continue
+            dij = max(deg_i, g.degrees[j])
+            if params.printed_weighted_rule:
+                p = (w[i] - w[j]) * deg_i / (2 * alpha * dij * w[i])
+            else:
+                p = gap * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
+            # Mirror the kernel's clamp of the migration probability to [0, 1].
+            p = min(max(p, zero), one)
+            q = p / deg_i   # per-task chance of ending on j; w[i] > 0 on triggered edges
+            mu[i] -= w[i] * q
+            mu[j] += w[i] * q
+            var[j] += sq[i] * q * (1 - q)
+            out_q[i] += q
+    for i in range(n):
+        var[i] += sq[i] * out_q[i] * (1 - out_q[i])
+    return NodeMoments(mu, var, e, inv)
 
 
-def exact_expected_psi0_drop(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                             params: ProtocolParams):
-    """E[psi0(x) - psi0(X')] in closed form; Fraction in uniform mode, float otherwise."""
-    mu, var = node_change_moments(g, sp, state, params)
-    if state.mode == MODE_UNIFORM:
-        e = state.deviations_exact(sp)
-        total = Fraction(0)
-        for k in range(g.node_count):
-            total -= (2 * e[k] * mu[k] + mu[k] * mu[k] + var[k]) / sp.speeds[k]
-        return total
-    e = state.deviations(sp)
-    return float(np.sum(-(2.0 * e * mu + mu * mu + var) * sp.inv_floats))
+def exact_expected_psi0_drop(m: NodeMoments):
+    """E[psi0(x) - psi0(X')] = -sum_k (2 e_k mu_k + mu_k^2 + var_k) / s_k."""
+    return -sum((2 * e * mu + mu * mu + v) * i
+                for mu, v, e, i in zip(m.mu, m.var, m.deviations, m.inv))
 
 
-def exact_expected_psi1_drop(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                             params: ProtocolParams):
+def exact_expected_psi1_drop(m: NodeMoments):
     """E[psi1 drop] = E[psi0 drop] - sum_k mu_k / s_k (psi1 and phi1 drops coincide)."""
-    mu, var = node_change_moments(g, sp, state, params)
-    if state.mode == MODE_UNIFORM:
-        e = state.deviations_exact(sp)
-        total = Fraction(0)
-        for k in range(g.node_count):
-            total -= (2 * e[k] * mu[k] + mu[k] * mu[k] + var[k] + mu[k]) / sp.speeds[k]
-        return total
-    e = state.deviations(sp)
-    return float(np.sum(-(2.0 * e * mu + mu * mu + var + mu) * sp.inv_floats))
+    return exact_expected_psi0_drop(m) - sum(mu * i for mu, i in zip(m.mu, m.inv))
 
 
-def phi1_drop_routes(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                     params: ProtocolParams):
-    """(drop via phi1 assembly, drop via psi1 assembly): equal by flow conservation."""
-    mu, var = node_change_moments(g, sp, state, params)
+def exact_variance_sum(m: NodeMoments):
+    """sum_i Var[W_i'] / s_i."""
+    return sum(v * i for v, i in zip(m.var, m.inv))
+
+
+def phi1_drop_routes(m: NodeMoments, sp: SpeedProfile, state: LoadState):
+    """(drop via phi1 assembly, drop via psi1 assembly): equal by flow conservation.
+
+    Both routes run in floats on the state's float weights, deviations and
+    inverse speeds, so their difference measures float cancellation only.
+    """
+    mu = np.array(m.mu, dtype=float)
+    var = np.array(m.var, dtype=float)
     weights = state.node_weights()
     e = state.deviations(sp)
-    mu_f = np.array([float(m) for m in mu])
-    var_f = np.array([float(v) for v in var])
     inv = sp.inv_floats
-    via_phi1 = float(np.sum(-(2.0 * weights * mu_f + mu_f**2 + var_f + mu_f) * inv))
-    via_psi1 = float(np.sum(-(2.0 * e * mu_f + mu_f**2 + var_f + mu_f) * inv))
+    via_phi1 = float(np.sum(-(2.0 * weights * mu + mu**2 + var + mu) * inv))
+    via_psi1 = float(np.sum(-(2.0 * e * mu + mu**2 + var + mu) * inv))
     return via_phi1, via_psi1
-
-
-def exact_variance_sum(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                       params: ProtocolParams):
-    """sum_i Var[W_i'] / s_i, exactly (Fraction in uniform mode)."""
-    _, var = node_change_moments(g, sp, state, params)
-    if state.mode == MODE_UNIFORM:
-        return sum((v / s for v, s in zip(var, sp.speeds)), Fraction(0))
-    return float(np.sum(var * sp.inv_floats))
 
 
 # ---------------------------------------------------------------------------

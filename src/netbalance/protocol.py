@@ -18,6 +18,7 @@ node's stream) and comparisons are strict floating-point: ties resolve to
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -72,7 +73,9 @@ class LoadState:
     @classmethod
     def uniform(cls, counts: Iterable[int]) -> "LoadState":
         try:
-            return cls(np.array(list(counts), dtype=np.int64))
+            return cls(np.array([operator.index(c) for c in counts], dtype=np.int64))
+        except TypeError as exc:
+            raise ConfigError(f"task counts must be integers: {exc}") from exc
         except OverflowError as exc:
             raise ConfigError("task counts too large for 64-bit integers") from exc
 
@@ -138,14 +141,6 @@ class LoadState:
         """e_i = W_i - (W / S) * s_i as floats."""
         scale = self.total_weight() / float(sp.total_capacity)
         return self.node_weights() - scale * sp.floats
-
-    def deviations_exact(self, sp: SpeedProfile) -> tuple[Fraction, ...]:
-        """Exact deviations; uniform mode only (weighted weights are inexact)."""
-        if self.weights is not None:
-            raise ConfigError("exact deviations are defined for uniform mode only")
-        counts = self.counts.tolist()
-        scale = Fraction(sum(counts)) / sp.total_capacity
-        return tuple(Fraction(c) - scale * s for c, s in zip(counts, sp.speeds))
 
     def to_payload(self) -> dict:
         """JSON-compatible serialization (counterexample artifacts, configs)."""
@@ -345,6 +340,13 @@ def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     return bool((lhs <= sp.inv_floats[ev.dst]).all())
 
 
+def check_variant(state: LoadState, params: ProtocolParams) -> None:
+    """Unit tasks run under algorithm1, weighted tasks under algorithm2."""
+    variant = ALGORITHM1 if state.weights is None else ALGORITHM2
+    if params.variant != variant:
+        raise ConfigError(f"{state.mode}-task states run under variant {variant}")
+
+
 def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
                       params: ProtocolParams, round_index: int) -> tuple[LoadState, int]:
     """Execute one synchronous round; returns the new state and the number of moved tasks.
@@ -352,12 +354,9 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     Total task weight is conserved; with identical inputs the result is
     identical (all randomness is keyed by (rng_seed, round_index, node)).
     """
+    check_variant(state, params)
     if state.weights is None:
-        if params.variant != ALGORITHM1:
-            raise ConfigError("uniform-task states run under variant algorithm1")
         return _step_uniform(g, sp, state, params, round_index)
-    if params.variant != ALGORITHM2:
-        raise ConfigError("weighted-task states run under variant algorithm2")
     return _step_weighted(g, sp, state, params, round_index)
 
 

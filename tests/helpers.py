@@ -145,6 +145,67 @@ def enum_expected_psi0_drop(g, speeds, counts, alpha):
     return before - expected_after
 
 
+# Exact enumeration oracle for one weighted round. Independent transcription:
+# every task on node i independently picks a neighbor j uniformly and migrates
+# with probability p_ij (the definition rule, or the printed rule
+# (deg(i)/d_ij) * (W_i - W_j) / (2*alpha*W_i)) when l_i - l_j > 1/s_j, clamped
+# to [0, 1]. Weights enter as exact Fractions; only usable for a few tasks.
+
+
+def _weighted_task_choices(g, speeds, node_weights, alpha, printed):
+    """Per node: [(destination, probability)...] of one task's categorical draw."""
+    n = g.node_count
+    loads = [node_weights[i] / speeds[i] for i in range(n)]
+    table = []
+    for i in range(n):
+        deg_i = g.degrees[i]
+        options = []
+        for j in g.neighbors[i]:
+            gap = loads[i] - loads[j]
+            p = Fraction(0)
+            if gap > 1 / speeds[j]:
+                d_ij = Fraction(deg_i, max(deg_i, g.degrees[j]))
+                if printed:
+                    p = d_ij * (node_weights[i] - node_weights[j]) / (2 * alpha * node_weights[i])
+                else:
+                    p = d_ij * gap / (alpha * (1 / speeds[i] + 1 / speeds[j]) * node_weights[i])
+                p = min(max(p, Fraction(0)), Fraction(1))
+            options.append((j, p / deg_i))
+        options.append((i, 1 - sum(q for _, q in options)))
+        table.append(options)
+    return table
+
+
+def enum_weighted_round(g, speeds, task_lists, alpha, printed=False):
+    """Exact (E[psi0 - psi0'], sum_i Var[W_i'] / s_i) over every joint outcome."""
+    n = g.node_count
+    tasks = [(i, Fraction(w)) for i, node in enumerate(task_lists) for w in node]
+    start = [sum((w for k, w in tasks if k == i), Fraction(0)) for i in range(n)]
+    share = sum(start) / sum(speeds, Fraction(0))
+
+    def psi0_of(wvec):
+        return sum((wvec[i] - share * speeds[i]) ** 2 / speeds[i] for i in range(n))
+
+    table = _weighted_task_choices(g, speeds, start, Fraction(alpha), printed)
+    e_psi0 = Fraction(0)
+    e_w = [Fraction(0)] * n
+    e_w2 = [Fraction(0)] * n
+    for outcome in product(*(table[i] for i, _ in tasks)):
+        prob = Fraction(1)
+        new = [Fraction(0)] * n
+        for (dest, q), (_, w) in zip(outcome, tasks):
+            prob *= q
+            new[dest] += w
+        if prob == 0:
+            continue
+        e_psi0 += prob * psi0_of(new)
+        for i in range(n):
+            e_w[i] += prob * new[i]
+            e_w2[i] += prob * new[i] ** 2
+    var_sum = sum((e_w2[i] - e_w[i] ** 2) / speeds[i] for i in range(n))
+    return psi0_of(start) - e_psi0, var_sum
+
+
 def random_rational_speeds(rng, n, max_num=6, max_den=4):
     """Random positive rationals p/q; the profile constructor normalizes."""
     return [

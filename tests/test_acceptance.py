@@ -21,6 +21,7 @@ from netbalance.potentials import (
     critical_value,
     exact_expected_psi0_drop,
     gamma_factor,
+    node_change_moments,
     psi0_value,
 )
 from netbalance.protocol import (
@@ -121,8 +122,8 @@ def test_criterion_4_oracle_monte_carlo_agreement():
     # Golden value first: closed form and enumeration both give exactly 7/16.
     k2 = nb.make_graph("complete", n=2)
     uni = SpeedProfile.uniform(2)
-    closed = exact_expected_psi0_drop(k2, uni, LoadState.uniform((2, 0)),
-                                      ProtocolParams(rng_seed=0))
+    closed = exact_expected_psi0_drop(node_change_moments(
+        k2, uni, LoadState.uniform((2, 0)), ProtocolParams(rng_seed=0)))
     enum = helpers.enum_expected_psi0_drop(k2, [Fraction(1), Fraction(1)], (2, 0),
                                            Fraction(4))
     assert closed == Fraction(7, 16) and enum == Fraction(7, 16)
@@ -134,7 +135,7 @@ def test_criterion_4_oracle_monte_carlo_agreement():
     worst = 0.0
     for case in cases:
         g, sp, st = case.graph, case.speeds, case.state
-        exact = float(exact_expected_psi0_drop(g, sp, st, params))
+        exact = float(exact_expected_psi0_drop(node_change_moments(g, sp, st, params)))
         base = psi0_value(sp, st)
         drops = np.empty(n_rounds)
         for r in range(n_rounds):

@@ -13,6 +13,7 @@ from netbalance.cli import (
     parse_config,
     render_json,
 )
+from netbalance.errors import ConfigError
 
 BASIC_CONFIG = """\
 # tiny deterministic run
@@ -52,6 +53,8 @@ def test_config_errors():
         parse_config("graph.n = 2\ngraph.n = 3\n")
     with pytest.raises(Exception, match="key = value"):
         parse_config("just some words\n")
+    with pytest.raises(ConfigError, match="bad value for protocol.alpha"):
+        parse_config("protocol.alpha = 1/x\n")
 
 
 def test_render_json_formatting():
@@ -198,6 +201,36 @@ run.master_seed = 5
     # out-of-range weights are a config error
     bad = write_config(tmp_path, text.replace("0.4", "1.4"), name="bad.cfg")
     assert main(["run", str(bad)]) == EXIT_CONFIG
+
+
+def test_exact_ne_alpha_default_for_unit_tasks(tmp_path):
+    # Unit tasks under exact-ne run at 4*s_max/eps = 4*(3/2)/(1/2) = 12, where
+    # the exact-equilibrium cap is proven; weighted tasks keep 4*s_max = 6.
+    text = BASIC_CONFIG + "speeds.mode = explicit\nspeeds.values = 1,3/2\n"
+    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["alpha"] == "12"
+    weighted = text.replace("explicit-counts", "explicit-weights").replace(
+        "tasks.counts = 4,0", "tasks.weights = 0:1.0,0.9,0.8")
+    assert main(["run", str(write_config(tmp_path, weighted, name="w.cfg")),
+                 "--out-dir", str(tmp_path / "w")]) == EXIT_OK
+    assert json.loads((tmp_path / "w" / "summary.json").read_text())["alpha"] == "6"
+
+
+def test_malformed_task_counts_are_config_errors(tmp_path):
+    bad = BASIC_CONFIG.replace("tasks.counts = 4,0", "tasks.counts = 4,x")
+    assert main(["run", str(write_config(tmp_path, bad))]) == EXIT_CONFIG
+
+
+def test_malformed_task_weights_are_config_errors(tmp_path):
+    text = BASIC_CONFIG.replace("explicit-counts", "explicit-weights").replace(
+        "tasks.counts = 4,0", "tasks.weights = 0:0.5,abc")
+    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
+
+
+def test_repeated_weight_list_node_is_config_error(tmp_path):
+    text = BASIC_CONFIG.replace("explicit-counts", "explicit-weights").replace(
+        "tasks.counts = 4,0", "tasks.weights = 0:0.5,0.25;0:0.75")
+    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
 
 
 def test_explicit_edge_list_config(tmp_path):

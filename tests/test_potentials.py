@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netbalance.errors import ConfigError
 from netbalance.graphs import make_graph
 from netbalance.potentials import (
     critical_value,
@@ -15,6 +16,7 @@ from netbalance.potentials import (
     exact_variance_sum,
     gamma_factor,
     lambda_term,
+    node_change_moments,
     phi1_drop_routes,
     psi0_value,
     snapshot,
@@ -84,13 +86,14 @@ def test_lambda_term_algebraic_identity():
 
 def test_exact_psi0_drop_golden_and_enumeration():
     st = LoadState.uniform((2, 0))
-    drop = exact_expected_psi0_drop(K2, UNI2, st, PARAMS)
+    drop = exact_expected_psi0_drop(node_change_moments(K2, UNI2, st, PARAMS))
     assert drop == Fraction(7, 16)
     enum = helpers.enum_expected_psi0_drop(
         K2, [Fraction(1), Fraction(1)], (2, 0), Fraction(4))
     assert enum == Fraction(7, 16)
     # Equilibrium states have no randomness and no drop.
-    assert exact_expected_psi0_drop(K2, UNI2, LoadState.uniform((1, 1)), PARAMS) == 0
+    nash = LoadState.uniform((1, 1))
+    assert exact_expected_psi0_drop(node_change_moments(K2, UNI2, nash, PARAMS)) == 0
 
 
 @pytest.mark.parametrize("counts,speeds", [
@@ -103,7 +106,8 @@ def test_closed_form_matches_enumeration_k2(counts, speeds):
     sp = SpeedProfile.from_rationals(speeds)
     st = LoadState.uniform(counts)
     alpha = 4 * sp.s_max
-    drop = exact_expected_psi0_drop(K2, sp, st, ProtocolParams(rng_seed=0, alpha=alpha))
+    params = ProtocolParams(rng_seed=0, alpha=alpha)
+    drop = exact_expected_psi0_drop(node_change_moments(K2, sp, st, params))
     enum = helpers.enum_expected_psi0_drop(K2, list(sp.speeds), counts, alpha)
     assert drop == enum  # both exact rationals
 
@@ -113,37 +117,41 @@ def test_closed_form_matches_enumeration_path3():
     sp = SpeedProfile.from_rationals([1, 1, 2])
     st = LoadState.uniform((3, 0, 1))
     alpha = 4 * sp.s_max
-    drop = exact_expected_psi0_drop(g, sp, st, ProtocolParams(rng_seed=0, alpha=alpha))
+    params = ProtocolParams(rng_seed=0, alpha=alpha)
+    drop = exact_expected_psi0_drop(node_change_moments(g, sp, st, params))
     enum = helpers.enum_expected_psi0_drop(g, list(sp.speeds), (3, 0, 1), alpha)
     assert drop == enum
 
 
 def test_exact_psi1_drop_examples():
     st = LoadState.uniform((2, 0))
-    assert exact_expected_psi1_drop(K2, UNI2, st, PARAMS) == Fraction(7, 16)
-    assert exact_expected_psi1_drop(K2, UNI2, LoadState.uniform((1, 1)), PARAMS) == 0
+    assert exact_expected_psi1_drop(node_change_moments(K2, UNI2, st, PARAMS)) \
+        == Fraction(7, 16)
+    nash = LoadState.uniform((1, 1))
+    assert exact_expected_psi1_drop(node_change_moments(K2, UNI2, nash, PARAMS)) == 0
     # Bound check: 7/16 >= eps^2/(8*Delta*s_max^3) = 1/8.
     assert Fraction(7, 16) >= Fraction(1, 8)
     # Hand-enumerated value for speeds (1,2), w=(4,0), alpha=8.
     sp = SpeedProfile.from_rationals([1, 2])
-    drop = exact_expected_psi1_drop(K2, sp, LoadState.uniform((4, 0)),
-                                    ProtocolParams(rng_seed=0))
+    drop = exact_expected_psi1_drop(node_change_moments(
+        K2, sp, LoadState.uniform((4, 0)), ProtocolParams(rng_seed=0)))
     assert drop == Fraction(53, 24)
 
 
 def test_exact_variance_sum_examples():
     st = LoadState.uniform((2, 0))
-    v = exact_variance_sum(K2, UNI2, st, PARAMS)
+    v = exact_variance_sum(node_change_moments(K2, UNI2, st, PARAMS))
     assert v == Fraction(7, 16)
     rhs = variance_bound(K2, UNI2, st, PARAMS)
     assert rhs == pytest.approx(0.5, abs=1e-15)
     assert float(v) <= rhs
-    assert exact_variance_sum(K2, UNI2, LoadState.uniform((1, 1)), PARAMS) == 0
+    nash = LoadState.uniform((1, 1))
+    assert exact_variance_sum(node_change_moments(K2, UNI2, nash, PARAMS)) == 0
     rng = np.random.default_rng(6)
     sp = SpeedProfile.from_rationals([1, 2, 1, 3])
     for _ in range(25):
         st = LoadState.uniform(rng.integers(0, 9, size=4))
-        assert float(exact_variance_sum(C4, sp, st, PARAMS)) <= \
+        assert float(exact_variance_sum(node_change_moments(C4, sp, st, PARAMS))) <= \
             variance_bound(C4, sp, st, PARAMS) + 1e-12
 
 
@@ -152,7 +160,7 @@ def test_drop_quadratic_bound_on_random_states():
     sp = SpeedProfile.from_rationals([1, 2, 1, 3])
     for _ in range(25):
         st = LoadState.uniform(rng.integers(0, 9, size=4))
-        drop = float(exact_expected_psi0_drop(C4, sp, st, PARAMS))
+        drop = float(exact_expected_psi0_drop(node_change_moments(C4, sp, st, PARAMS)))
         assert drop >= drop_quadratic_bound(C4, sp, st, PARAMS) - 1e-12
 
 
@@ -185,7 +193,8 @@ def test_l_delta_sandwich_exact_random_states():
         sp = SpeedProfile.from_rationals(
             [pat[i % len(pat)] for i in range(g.node_count)])
         st = LoadState.uniform(rng.integers(0, 14, size=g.node_count))
-        e = st.deviations_exact(sp)
+        e = node_change_moments(g, sp, st, PARAMS).deviations
+        assert all(type(d) is Fraction for d in e)
         psi0 = sum((d * d / s for d, s in zip(e, sp.speeds)), Fraction(0))
         ld = max(abs(d) / s for d, s in zip(e, sp.speeds))
         assert ld * ld <= psi0 <= sp.total_capacity * ld * ld
@@ -197,7 +206,8 @@ def test_phi1_and_psi1_drop_routes_agree():
     rng = np.random.default_rng(20)
     for _ in range(10):
         st = LoadState.uniform(rng.integers(0, 9, size=4))
-        via_phi1, via_psi1 = phi1_drop_routes(C4, sp, st, PARAMS)
+        moments = node_change_moments(C4, sp, st, PARAMS)
+        via_phi1, via_psi1 = phi1_drop_routes(moments, sp, st)
         scale = max(1.0, abs(via_phi1), st.total_weight() ** 2)
         assert abs(via_phi1 - via_psi1) <= 1e-9 * scale
 
@@ -207,7 +217,7 @@ def test_weighted_oracle_against_monte_carlo():
     st = weighted_all_on_one(ws, 4)
     sp = SpeedProfile.from_rationals([1, 2, 1, 2])
     pp = ProtocolParams(rng_seed=99, variant=ALGORITHM2)
-    exact = exact_expected_psi0_drop(C4, sp, st, pp)
+    exact = exact_expected_psi0_drop(node_change_moments(C4, sp, st, pp))
     base = psi0_value(sp, st)
     n = 20_000
     drops = np.empty(n)
@@ -217,3 +227,11 @@ def test_weighted_oracle_against_monte_carlo():
     se = drops.std(ddof=1) / math.sqrt(n)
     assert abs(drops.mean() - exact) <= 4 * se
 
+
+
+def test_moments_reject_variant_mode_mismatch():
+    with pytest.raises(ConfigError):
+        node_change_moments(K2, UNI2, LoadState.uniform((2, 0)),
+                            ProtocolParams(rng_seed=0, variant=ALGORITHM2))
+    with pytest.raises(ConfigError):
+        node_change_moments(K2, UNI2, weighted_all_on_one([0.5, 0.5], 2), PARAMS)

@@ -8,11 +8,16 @@ about the protocol or its implementation, so any counterexample is a bug.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netbalance.graphs import make_graph
-from netbalance.potentials import exact_expected_psi0_drop, node_change_moments
+from netbalance.potentials import (
+    exact_expected_psi0_drop,
+    exact_expected_psi1_drop,
+    exact_variance_sum,
+    node_change_moments,
+)
 from netbalance.protocol import (
     ALGORITHM1,
     ALGORITHM2,
@@ -135,11 +140,45 @@ def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed)
 def test_exact_oracle_matches_enumeration(inst):
     g, sp, state = inst
     alpha = 4 * sp.s_max
-    params = protocol_params(state, alpha=alpha)
-    drop = exact_expected_psi0_drop(g, sp, state, params)
-    # Exact all the way: Fractions over Python ints, never numpy scalars.
-    mu, var = node_change_moments(g, sp, state, params)
-    for x in (drop, *mu, *var, *state.deviations_exact(sp)):
-        assert type(x) is Fraction and type(x.numerator) is int
-    assert drop == helpers.enum_expected_psi0_drop(
+    moments = node_change_moments(g, sp, state, protocol_params(state, alpha=alpha))
+    assert exact_expected_psi0_drop(moments) == helpers.enum_expected_psi0_drop(
         g, list(sp.speeds), state.counts.tolist(), alpha)
+    # Exact all the way: Fractions over Python ints, never numpy scalars or
+    # floats, also below 4*s_max, where probabilities are clamped to 1.
+    for a in (alpha, sp.s_max / 8):
+        moments = node_change_moments(g, sp, state, protocol_params(state, alpha=a))
+        for x in (exact_expected_psi0_drop(moments), exact_expected_psi1_drop(moments),
+                  exact_variance_sum(moments), *moments.mu, *moments.var,
+                  *moments.deviations, *moments.inv):
+            assert type(x) is Fraction and type(x.numerator) is int
+
+
+@st.composite
+def few_weighted_tasks(draw, max_tasks=5):
+    g = draw(st.sampled_from(GRAPHS))
+    n = g.node_count
+    pattern = draw(st.sampled_from(SPEED_PATTERNS))
+    sp = SpeedProfile.from_rationals([pattern[i % 2] for i in range(n)])
+    lists = [[] for _ in range(n)]
+    for node, w in draw(st.lists(st.tuples(st.integers(0, n - 1), weights),
+                                 max_size=max_tasks)):
+        lists[node].append(w)
+    return g, sp, LoadState.weighted(lists)
+
+
+@settings(max_examples=100, deadline=None)
+@given(few_weighted_tasks(), st.booleans())
+def test_weighted_oracle_matches_enumeration(inst, printed):
+    g, sp, state = inst
+    tasks = state.to_payload()["tasks"]
+    # Float triggers decide exact ties by rounding; the oracle claims agreement
+    # with exact arithmetic only away from them.
+    loads = [sum(map(Fraction, node), Fraction(0)) / s for node, s in zip(tasks, sp.speeds)]
+    assume(all(abs(loads[i] - loads[j] - 1 / sp.speeds[j]) > Fraction(1, 10**9)
+               for i, j in g.directed_edges()))
+    params = protocol_params(state, printed_weighted_rule=printed)
+    moments = node_change_moments(g, sp, state, params)
+    drop, var_sum = helpers.enum_weighted_round(
+        g, list(sp.speeds), tasks, 4 * sp.s_max, printed)
+    assert abs(exact_expected_psi0_drop(moments) - drop) <= 1e-12 * abs(drop)
+    assert abs(exact_variance_sum(moments) - var_sum) <= 1e-12 * var_sum

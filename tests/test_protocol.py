@@ -267,6 +267,13 @@ def test_initial_state_builders():
     assert all(abs(c - t) < 1.0 for c, t in zip(nb.counts, targets))
 
 
+def test_uniform_state_rejects_non_integral_counts():
+    with pytest.raises(ConfigError, match="integers"):
+        LoadState.uniform([2.5, 0])
+    st = LoadState.uniform([np.int64(2), 3])
+    assert st.counts.tolist() == [2, 3] and st.counts.dtype == np.int64
+
+
 def test_weighted_initial_state_builders():
     ws = random_task_weights(25, 9)
     assert all(0 < w <= 1 for w in ws)
