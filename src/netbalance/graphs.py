@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from .errors import ConfigError, DisconnectedGraphError
 
@@ -216,16 +217,20 @@ def parse_edge_list(text: str) -> GraphTopology:
         raise ConfigError(f"edge list must start with the node count, got {lines[0]!r}") from exc
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ConfigError(f"malformed edge line {ln!r} (expected 'u v')")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError as exc:
+            raise ConfigError(f"malformed edge line {ln!r} (expected 'u v'): {exc}") from exc
+        edges.append((u, v))
     return make_graph("explicit", n=n, edges=edges)
 
 
 def load_edge_list(path) -> GraphTopology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read edge list {path}: {exc}") from exc
+    return parse_edge_list(text)
 
 
 def isoperimetric_number(g: GraphTopology, cap: int = ISO_BRUTE_FORCE_CAP) -> Fraction:

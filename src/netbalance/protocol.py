@@ -3,17 +3,17 @@
 Round semantics: every task draws a uniformly random neighbor of its current
 node; if the load gap to that neighbor strictly exceeds 1/s_j, the task
 migrates with a probability proportional to the gap. All probabilities are
-evaluated against the round-start state, and every coin flip comes from a
-counter-based stream keyed by (seed, round, node), so a round's outcome is
-independent of evaluation order and reproducible draw-by-draw.
+evaluated against the round-start state, and all of a round's draws come from
+one counter-based stream keyed by (seed, round), so any round can be
+reproduced on its own, whatever ran before it.
 
 A state is a per-node task count plus, for weighted tasks, one flat weight
 array grouped by node. In uniform mode tasks are anonymous, so a node's task
 decisions collapse into one multinomial draw over (move-to-neighbor...,
 stay); load comparisons are done exactly on cross-multiplied integers. In
-weighted mode each task is an individual actor (slot-indexed within its
-node's stream) and comparisons are strict floating-point: ties resolve to
-"no move".
+weighted mode each task is an individual actor (a neighbor pick and a coin
+from the round's stream, in task order) and comparisons are strict
+floating-point: ties resolve to "no move".
 """
 
 from __future__ import annotations
@@ -250,33 +250,22 @@ def _flow_array(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     trig = _trigger_mask(g, sp, state)
     denom = _denominators(g, sp, float(resolve_alpha(params, sp)))
     loads = state.loads(sp)
-    flow = np.zeros(len(ev.src))
-    idx = np.flatnonzero(trig)
-    if idx.size:
-        flow[idx] = (loads[ev.src[idx]] - loads[ev.dst[idx]]) / denom[idx]
-    return flow, trig
+    return np.where(trig, (loads[ev.src] - loads[ev.dst]) / denom, 0.0), trig
 
 
 def _per_task_probability_array(g, sp, state, params) -> tuple[np.ndarray, np.ndarray]:
     """(p_e, trigger): chance a task that picked this edge's neighbor migrates."""
     ev = _edge_view(g)
     weights = state.node_weights()
+    out = np.zeros(len(ev.src))
     if params.printed_weighted_rule:
         trig = _trigger_mask(g, sp, state)
         alpha = float(resolve_alpha(params, sp))
-        prob = np.zeros(len(ev.src))
-        idx = np.flatnonzero(trig)
-        if idx.size:
-            s, d = ev.src[idx], ev.dst[idx]
-            prob[idx] = (ev.deg[s] / ev.dij[idx]) * (weights[s] - weights[d]) \
-                / (2.0 * alpha * weights[s])
+        num = (ev.deg[ev.src] / ev.dij) * (weights[ev.src] - weights[ev.dst])
+        prob = np.divide(num, 2.0 * alpha * weights[ev.src], out=out, where=trig)
         return np.clip(prob, 0.0, 1.0), trig
     flow, trig = _flow_array(g, sp, state, params)
-    prob = np.zeros_like(flow)
-    idx = np.flatnonzero(trig)
-    if idx.size:
-        prob[idx] = flow[idx] * ev.deg[ev.src[idx]] / weights[ev.src[idx]]
-    return prob, trig
+    return np.divide(flow * ev.deg[ev.src], weights[ev.src], out=out, where=trig), trig
 
 
 def _edge_index(g: GraphTopology, i: int, j: int) -> int:
@@ -352,75 +341,65 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     """Execute one synchronous round; returns the new state and the number of moved tasks.
 
     Total task weight is conserved; with identical inputs the result is
-    identical (all randomness is keyed by (rng_seed, round_index, node)).
+    identical (all randomness comes from one stream keyed by (rng_seed,
+    round_index)). A task on node i picks a neighbor with probability
+    1/deg(i) and then moves with probability min(p_e, 1); tasks on nodes
+    without a triggered out-edge draw nothing.
     """
     check_variant(state, params)
+    prob, trig = _per_task_probability_array(g, sp, state, params)
+    if not trig.any():
+        return state, 0
+    gen = generator_from_prefix(key_prefix(params.rng_seed, STREAM_ROUND), round_index)
     if state.weights is None:
-        return _step_uniform(g, sp, state, params, round_index)
-    return _step_weighted(g, sp, state, params, round_index)
+        return _step_uniform(g, state, prob, trig, gen)
+    return _step_weighted(g, state, prob, trig, gen)
 
 
-def _step_uniform(g, sp, state, params, round_index):
+def _step_uniform(g, state, prob, trig, gen):
     ev = _edge_view(g)
-    flow, trig = _flow_array(g, sp, state, params)
-    idx = np.flatnonzero(trig)
-    counts = state.counts
+    active = np.unique(ev.src[trig])
     moved = np.zeros(len(ev.src), dtype=np.int64)   # tasks moved per directed edge
-    prefix = key_prefix(params.rng_seed, STREAM_ROUND, round_index)
-    for i in np.unique(ev.src[idx]):
-        lo, hi = int(ev.ptr[i]), int(ev.ptr[i + 1])
-        wi = int(counts[i])
-        if wi == 0:
-            continue
-        # Per-task chance of ending on neighbor k: f_ik / W_i (neighbor draw
-        # times acceptance); one multinomial covers all of node i's tasks.
-        # The cap at 1/deg mirrors the [0, 1] clamp of the migration
-        # probability; it never binds for alpha >= 4*s_max.
-        q = np.minimum(flow[lo:hi] / wi, 1.0 / (hi - lo))
-        pvals = np.empty(hi - lo + 1)
-        pvals[:-1] = q
-        pvals[-1] = 1.0 - q.sum()
-        gen = generator_from_prefix(prefix, int(i))
-        moved[lo:hi] = gen.multinomial(wi, pvals)[:-1]
+    # Anonymous tasks: one multinomial row over (move-to-neighbor..., stay)
+    # per active node, one call per distinct degree d, rows of length d + 1.
+    # Clamped move probabilities can sum to 1 + ulp, hence the floor at 0.
+    for d in np.unique(ev.deg[active]):
+        nodes = active[ev.deg[active] == d]
+        edges = ev.ptr[nodes, None] + np.arange(d)
+        pvals = np.empty((len(nodes), d + 1))
+        pvals[:, :d] = np.minimum(prob[edges], 1.0) / d
+        pvals[:, d] = np.maximum(1.0 - pvals[:, :d].sum(axis=1), 0.0)
+        moved[edges] = gen.multinomial(state.counts[nodes], pvals)[:, :d]
     total = int(moved.sum())
     if total == 0:
         return state, 0
-    new_counts = counts.copy()
+    new_counts = state.counts.copy()
     np.add.at(new_counts, ev.dst, moved)
     np.subtract.at(new_counts, ev.src, moved)
     return LoadState(new_counts), total
 
 
-def _step_weighted(g, sp, state, params, round_index):
+def _step_weighted(g, state, prob, trig, gen):
     ev = _edge_view(g)
-    prob, trig = _per_task_probability_array(g, sp, state, params)
-    idx = np.flatnonzero(trig)
-    counts = state.counts
-    starts = np.cumsum(counts) - counts
-    dest = state.owner.copy()                       # each task's node after the round
-    moved = np.zeros(len(dest), dtype=bool)
-    prefix = key_prefix(params.rng_seed, STREAM_ROUND, round_index)
-    for i in np.unique(ev.src[idx]):
-        k = int(counts[i])
-        if k == 0:
-            continue
-        lo, hi = int(ev.ptr[i]), int(ev.ptr[i + 1])
-        gen = generator_from_prefix(prefix, int(i))
-        # Slot-indexed draws: neighbor pick then acceptance coin per task slot.
-        picks = gen.integers(0, hi - lo, size=k)
-        coins = gen.random(k)
-        moving = coins < prob[lo:hi][picks]
-        a = int(starts[i])
-        moved[a:a + k] = moving
-        dest[a:a + k][moving] = ev.dst[lo:hi][picks[moving]]
-    total = int(moved.sum())
+    active = np.zeros(g.node_count, dtype=bool)
+    active[ev.src[trig]] = True
+    # Tasks on active nodes draw in flat task order: every neighbor pick,
+    # then every acceptance coin.
+    drawing = np.flatnonzero(active[state.owner])
+    node = state.owner[drawing]
+    edge = ev.ptr[node] + gen.integers(0, ev.deg[node])
+    hit = gen.random(len(drawing)) < prob[edge]
+    total = int(hit.sum())
     if total == 0:
         return state, 0
+    moved = np.zeros(len(state.owner), dtype=bool)
+    moved[drawing[hit]] = True
+    dest = state.owner.copy()                       # each task's node after the round
+    dest[drawing[hit]] = ev.dst[edge[hit]]
     # Stable regroup by destination: kept tasks first, then arrivals in
     # (source node, slot) order.
     order = np.lexsort((moved, dest))
-    new_counts = np.bincount(dest, minlength=g.node_count)
-    return LoadState(new_counts, state.weights[order]), total
+    return LoadState(np.bincount(dest, minlength=g.node_count), state.weights[order]), total
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +417,8 @@ def all_on_one_state(n: int, m: int, node: int = 0) -> LoadState:
 
 def random_placement_state(n: int, m: int, seed: int) -> LoadState:
     """Each task picks a node independently and uniformly."""
+    if m < 0:
+        raise ConfigError(f"task count must be non-negative, got {m}")
     gen = keyed_generator(seed, STREAM_PLACEMENT)
     counts = gen.multinomial(m, np.full(n, 1.0 / n))
     return LoadState.uniform(counts)
@@ -456,6 +437,8 @@ def near_balanced_state(sp: SpeedProfile, m: int) -> LoadState:
 
 def random_task_weights(count: int, seed: int) -> tuple[float, ...]:
     """count weights drawn uniformly from (0, 1]."""
+    if count < 0:
+        raise ConfigError(f"task count must be non-negative, got {count}")
     gen = keyed_generator(seed, STREAM_WEIGHTS)
     return tuple(float(w) for w in 1.0 - gen.random(count))
 

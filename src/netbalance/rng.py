@@ -2,10 +2,10 @@
 
 All randomness in the package flows from a 64-bit master seed through Philox
 keys derived from a (seed, stream-tag, index...) path. Each consumer gets its
-own stream, so results are independent of evaluation order and any single
-draw can be reproduced in isolation. The key alone fixes every draw: each
-`Philox(key=...)` still builds a default `SeedSequence`, which reads OS
-entropy and then discards it.
+own stream, so results are independent of evaluation order and any stream
+(one protocol round, say) can be reproduced in isolation. The key alone
+fixes every draw: each `Philox(key=...)` still builds a default
+`SeedSequence`, which reads OS entropy and then discards it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 # Stream tags keep unrelated consumers of the same seed apart.
-STREAM_ROUND = 1        # per (trial-seed, round, node) protocol coin flips
+STREAM_ROUND = 1        # per (trial-seed, round) protocol draws
 STREAM_PLACEMENT = 2    # random initial task placement
 STREAM_WEIGHTS = 3      # random task-weight draws
 STREAM_SPEEDS = 4       # random speed profiles
@@ -55,7 +55,7 @@ def keyed_generator(seed: int, *path: int) -> np.random.Generator:
 
 
 def generator_from_prefix(prefix: tuple[int, int], part: int) -> np.random.Generator:
-    """Generator for prefix extended by one component (hot-loop variant)."""
+    """Generator for prefix extended by one component (fold the fixed path once)."""
     lo, hi = _fold(prefix[0], prefix[1], part)
     return np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
 

@@ -39,7 +39,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot interpret speed {value!r}: {exc}") from exc
     raise ConfigError(f"cannot interpret speed {value!r} as an exact rational")
 
 

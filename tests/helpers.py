@@ -58,10 +58,12 @@ def lambda2_closed_form(family, *, n=None, dim=None, rows=None, cols=None):
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration oracle for the one-round expected potential drop.
-# Independent transcription of the protocol: per task, pick a neighbor
-# uniformly; migrate with probability (deg(i)/d_ij) * gap / (alpha*(1/s_i+1/s_j)*W_i)
-# when gap = l_i - l_j exceeds 1/s_j. Only usable for tiny uniform states.
+# Exact enumeration of one round. Independent transcription of the protocol:
+# per task, pick a neighbor uniformly; migrate with probability
+# min(1, (deg(i)/d_ij) * gap / (alpha*(1/s_i+1/s_j)*W_i)) when gap = l_i - l_j
+# exceeds 1/s_j. Tasks draw independently, so the law of the next state is a
+# product of per-node multinomials (unit tasks) or of per-task categorical
+# draws (weighted tasks). Only usable for tiny states.
 
 
 def _per_task_probs(g, speeds, counts, alpha):
@@ -77,7 +79,7 @@ def _per_task_probs(g, speeds, counts, alpha):
                 d_ij = max(g.degrees[i], g.degrees[j])
                 p_accept = (Fraction(g.degrees[i], d_ij) * gap
                             / (alpha * (1 / speeds[i] + 1 / speeds[j]) * counts[i]))
-                probs.append(p_accept / g.degrees[i])
+                probs.append(min(p_accept, Fraction(1)) / g.degrees[i])
             else:
                 probs.append(Fraction(0))
         probs.append(1 - sum(probs))
@@ -110,15 +112,29 @@ def _multinomial_outcomes(w, probs):
     return out
 
 
+def uniform_round_law(g, speeds, counts, alpha):
+    """Exact law of the next count vector: {counts tuple: probability}."""
+    table = _per_task_probs(g, speeds, counts, alpha)
+    per_node = [_multinomial_outcomes(c, probs) for c, probs in zip(counts, table)]
+    law = {}
+    for joint in product(*per_node):
+        prob = Fraction(1)
+        new = list(counts)
+        for i, (outcome, p) in enumerate(joint):
+            prob *= p
+            for j, moved in zip(g.neighbors[i], outcome):
+                new[i] -= moved
+                new[j] += moved
+        key = tuple(new)
+        law[key] = law.get(key, 0) + prob
+    return law
+
+
 def enum_expected_psi0_drop(g, speeds, counts, alpha):
-    """Exact E[psi0 - psi0'] by enumerating every joint round outcome."""
+    """Exact E[psi0 - psi0'] as a sum over the law of the next state."""
     n = g.node_count
     total = sum(counts)
     cap = sum(speeds, Fraction(0))
-    table = _per_task_probs(g, speeds, counts, alpha)
-    per_node = [
-        _multinomial_outcomes(counts[i], table[i]) for i in range(n)
-    ]
 
     def psi0_of(cvec):
         return sum(
@@ -126,30 +142,13 @@ def enum_expected_psi0_drop(g, speeds, counts, alpha):
             for i in range(n)
         )
 
-    before = psi0_of(counts)
-    expected_after = Fraction(0)
-    for joint in product(*per_node):
-        prob = Fraction(1)
-        new = list(counts)
-        for i, (outcome, p) in enumerate(joint):
-            prob *= p
-            if prob == 0:
-                break
-            for k, moved in enumerate(outcome[:-1]):
-                if moved:
-                    j = g.neighbors[i][k]
-                    new[i] -= moved
-                    new[j] += moved
-        if prob:
-            expected_after += prob * psi0_of(new)
-    return before - expected_after
+    law = uniform_round_law(g, speeds, counts, alpha)
+    return psi0_of(counts) - sum(p * psi0_of(new) for new, p in law.items())
 
 
-# Exact enumeration oracle for one weighted round. Independent transcription:
-# every task on node i independently picks a neighbor j uniformly and migrates
-# with probability p_ij (the definition rule, or the printed rule
-# (deg(i)/d_ij) * (W_i - W_j) / (2*alpha*W_i)) when l_i - l_j > 1/s_j, clamped
-# to [0, 1]. Weights enter as exact Fractions; only usable for a few tasks.
+# Weighted tasks: the migration probability is the definition rule above, or
+# the printed rule (deg(i)/d_ij) * (W_i - W_j) / (2*alpha*W_i), clamped to
+# [0, 1]. Weights enter as exact Fractions.
 
 
 def _weighted_task_choices(g, speeds, node_weights, alpha, printed):
@@ -176,28 +175,39 @@ def _weighted_task_choices(g, speeds, node_weights, alpha, printed):
     return table
 
 
-def enum_weighted_round(g, speeds, task_lists, alpha, printed=False):
-    """Exact (E[psi0 - psi0'], sum_i Var[W_i'] / s_i) over every joint outcome."""
+def weighted_round_law(g, speeds, task_lists, alpha, printed=False):
+    """Exact law of the next state: {per-node sorted weight tuples: probability}."""
     n = g.node_count
     tasks = [(i, Fraction(w)) for i, node in enumerate(task_lists) for w in node]
     start = [sum((w for k, w in tasks if k == i), Fraction(0)) for i in range(n)]
+    table = _weighted_task_choices(g, speeds, start, Fraction(alpha), printed)
+    law = {}
+    for outcome in product(*(table[i] for i, _ in tasks)):
+        prob = Fraction(1)
+        new = [[] for _ in range(n)]
+        for (dest, q), (_, w) in zip(outcome, tasks):
+            prob *= q
+            new[dest].append(w)
+        if prob:
+            key = tuple(tuple(sorted(node)) for node in new)
+            law[key] = law.get(key, 0) + prob
+    return law
+
+
+def enum_weighted_round(g, speeds, task_lists, alpha, printed=False):
+    """Exact (E[psi0 - psi0'], sum_i Var[W_i'] / s_i) as sums over the law."""
+    n = g.node_count
+    start = [sum(map(Fraction, node), Fraction(0)) for node in task_lists]
     share = sum(start) / sum(speeds, Fraction(0))
 
     def psi0_of(wvec):
         return sum((wvec[i] - share * speeds[i]) ** 2 / speeds[i] for i in range(n))
 
-    table = _weighted_task_choices(g, speeds, start, Fraction(alpha), printed)
     e_psi0 = Fraction(0)
     e_w = [Fraction(0)] * n
     e_w2 = [Fraction(0)] * n
-    for outcome in product(*(table[i] for i, _ in tasks)):
-        prob = Fraction(1)
-        new = [Fraction(0)] * n
-        for (dest, q), (_, w) in zip(outcome, tasks):
-            prob *= q
-            new[dest] += w
-        if prob == 0:
-            continue
+    for nodes, prob in weighted_round_law(g, speeds, task_lists, alpha, printed).items():
+        new = [sum(node, Fraction(0)) for node in nodes]
         e_psi0 += prob * psi0_of(new)
         for i in range(n):
             e_w[i] += prob * new[i]

@@ -46,7 +46,7 @@ def test_config_round_trip():
     assert config_to_text(parse_config(text)) == text
 
 
-def test_config_errors():
+def test_config_errors(tmp_path, capsys):
     with pytest.raises(Exception, match="unknown key"):
         parse_config("graph.familly = complete\n")
     with pytest.raises(Exception, match="duplicate"):
@@ -55,6 +55,28 @@ def test_config_errors():
         parse_config("just some words\n")
     with pytest.raises(ConfigError, match="bad value for protocol.alpha"):
         parse_config("protocol.alpha = 1/x\n")
+    # Malformed inputs found past parsing are configuration errors (exit 2)
+    # too, never tracebacks or the verification-failure code.
+    (tmp_path / "bad_edges.txt").write_text("2\n0 1\n1 x\n", encoding="utf-8")
+    k2 = "graph.family = complete\ngraph.n = 2\n"
+    run = "run.stop = fixed-rounds\nrun.rounds = 1\nrun.master_seed = 1\n"
+    for extra in ("speeds.mode = explicit\nspeeds.values = 1,x\ntasks.count = 4\n",
+                  "speeds.mode = explicit\nspeeds.values = 1,1/0\ntasks.count = 4\n",
+                  "tasks.count = -3\ntasks.placement = random\n",
+                  "tasks.mode = weighted-random\ntasks.count = -2\n"):
+        cfg_path = write_config(tmp_path, k2 + extra + run)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG, extra
+    (tmp_path / "binary_edges.txt").write_bytes(b"2\n0 1\n\xff\xfe\n")
+    for edge_list in ("bad_edges.txt", "missing.txt", "binary_edges.txt"):
+        cfg_path = write_config(tmp_path, f"graph.family = explicit\ngraph.edge_list = "
+                                f"{edge_list}\ntasks.count = 4\n" + run)
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG, edge_list
+    for argv in (["--n", "2", "--speeds", "1,x"],
+                 ["--edge-list", str(tmp_path / "bad_edges.txt")],
+                 ["--edge-list", str(tmp_path / "missing.txt")],
+                 ["--edge-list", str(tmp_path / "binary_edges.txt")]):
+        assert main(["spectra", *argv]) == EXIT_CONFIG, argv
+    assert capsys.readouterr().err.count("configuration error") == 11
 
 
 def test_render_json_formatting():

@@ -191,6 +191,17 @@ def test_weighted_node_weights_match_task_lists_after_many_rounds():
         assert abs(st.node_weights()[i] - exact) <= len(node) * 2.0**-53 * exact
 
 
+def test_step_round_all_probabilities_clamped_at_degree_20():
+    # Far below the alpha floor every migration probability clamps to 1, so
+    # every task leaves node 0. The 20 move probabilities of 1/20 sum to
+    # 1 + 2^-52 in floats; the stay probability must not come out negative.
+    g = make_graph("complete", n=21)
+    st = all_on_one_state(21, 1000)
+    new, moves = step_round_totals(g, SpeedProfile.uniform(21), st,
+                                   params(alpha=Fraction(1, 1000)), 0)
+    assert moves == 1000 and new.counts[0] == 0 and new.task_count == 1000
+
+
 def test_step_round_mc_mean_matches_binomial():
     # K2, w=(2,0), alpha=4: each task moves w.p. 1/8, mean moved = 1/4.
     st = LoadState.uniform((2, 0))
