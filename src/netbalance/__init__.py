@@ -50,7 +50,6 @@ from .protocol import (
 from .spectral import (
     SpectralSummary,
     SpeedProfile,
-    generalized_dot,
     granularity_of,
     laplacian,
     lambda2_of,

@@ -392,6 +392,8 @@ def cmd_run(config_path, out_dir_override=None) -> int:
 
     lam2 = lambda2_of(g)
     psi_c = critical_value(g, sp, lam2, constant=cfg.protocol_psi_constant)
+    # Before the trials, so that a graph past the dense-solve limit fails fast.
+    spec_sum = spectral_summary(g, sp)
     summary = analysis.measure_convergence(
         g, sp, init_spec, params, stop, cfg.run_trials, cfg.run_round_cap,
         psi_threshold=4.0 * psi_c, approx_eps=cfg.protocol_eps,
@@ -408,7 +410,6 @@ def cmd_run(config_path, out_dir_override=None) -> int:
                     fmt17(max_load), fmt17(min_load), str(moves)]))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    spec_sum = spectral_summary(g, sp)
     payload = {
         "config": {k: CONFIG_KEYS[k][2](getattr(cfg, CONFIG_KEYS[k][0]))
                    for k in CONFIG_KEYS if getattr(cfg, CONFIG_KEYS[k][0]) is not None},

@@ -10,11 +10,4 @@ class DisconnectedGraphError(ConfigError):
 
 
 class EigensolverError(RuntimeError):
-    """Eigen decomposition failed to meet the requested accuracy.
-
-    Carries the worst observed residual norm when it is known.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A dense eigensolve failed, or its certificate did not hold."""

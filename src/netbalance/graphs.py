@@ -4,6 +4,8 @@ Builds the standard graph families (complete, cycle, path, 2-D torus, open
 grid, hypercube) and explicit edge lists, exposing the combinatorial
 quantities the spectral bounds need: degrees, the per-edge degree maximum,
 the diameter, and a brute-force isoperimetric number for small graphs.
+Family graphs also carry their algebraic connectivity lambda2 in closed form;
+explicit graphs leave it to the eigensolver in `spectral`.
 
 Node identifiers are dense integers 0..n-1 with a canonical ordering per
 family (row-major for torus/grid, binary labels for the hypercube) so that
@@ -13,8 +15,9 @@ analysis requires a positive algebraic connectivity.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +39,9 @@ class GraphTopology:
     degrees: tuple[int, ...]
     max_degree: int
     diameter: int
+    # Closed-form algebraic connectivity of a family graph, None for explicit
+    # graphs. Derived from the edges, so it takes no part in equality.
+    lambda2: float | None = field(default=None, compare=False)
 
     def __hash__(self):
         # Hot lookup key for per-graph caches; hashing the edge tuple every
@@ -95,7 +101,8 @@ def bfs_distances(g: GraphTopology, source: int) -> list[int]:
     return dist
 
 
-def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None) -> GraphTopology:
+def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None,
+           lambda2: float | None = None) -> GraphTopology:
     if n < 2:
         raise ConfigError(f"graph needs at least 2 nodes, got {n}")
     edges = tuple(sorted(edge_set))
@@ -138,6 +145,7 @@ def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None) -> Grap
         degrees=degrees,
         max_degree=max(degrees),
         diameter=diameter,
+        lambda2=lambda2,
     )
 
 
@@ -156,20 +164,21 @@ def make_graph(family: str, *, n: int | None = None, rows: int | None = None,
 
     Families: complete(n), cycle(n>=3), path(n>=2), torus2d(rows, cols, both >=2),
     grid2d(rows, cols), hypercube(dim>=1), explicit(n, edges).
-    Family generators set the closed-form diameter; explicit graphs get BFS.
+    Family generators set the closed-form diameter and lambda2; explicit graphs
+    get a BFS diameter and no lambda2.
     """
     if family == "complete":
         _need(n is not None and n >= 2, f"complete graph needs n >= 2, got {n}")
         es = {(u, v) for u in range(n) for v in range(u + 1, n)}
-        return _build(n, es, diameter=1)
+        return _build(n, es, diameter=1, lambda2=float(n))
     if family == "cycle":
         _need(n is not None and n >= 3, f"cycle needs n >= 3, got {n}")
         es = {tuple(sorted((u, (u + 1) % n))) for u in range(n)}
-        return _build(n, es, diameter=n // 2)
+        return _build(n, es, diameter=n // 2, lambda2=_cycle_lambda2(n))
     if family == "path":
         _need(n is not None and n >= 2, f"path needs n >= 2, got {n}")
         es = {(u, u + 1) for u in range(n - 1)}
-        return _build(n, es, diameter=n - 1)
+        return _build(n, es, diameter=n - 1, lambda2=_path_lambda2(n))
     if family in ("torus2d", "grid2d"):
         _need(rows is not None and cols is not None and rows >= 2 and cols >= 2,
               f"{family} needs rows >= 2 and cols >= 2, got {rows}x{cols}")
@@ -183,12 +192,16 @@ def make_graph(family: str, *, n: int | None = None, rows: int | None = None,
                 if wrap or c + 1 < cols:
                     es.add(tuple(sorted((u, r * cols + (c + 1) % cols))))
         diam = rows // 2 + cols // 2 if wrap else (rows - 1) + (cols - 1)
-        return _build(rows * cols, es, diameter=diam)
+        # A Cartesian product's Laplacian spectrum is the set of sums of its
+        # factors' eigenvalues, so lambda2 is the smaller factor lambda2.
+        factor = _cycle_lambda2 if wrap else _path_lambda2
+        return _build(rows * cols, es, diameter=diam,
+                      lambda2=min(factor(rows), factor(cols)))
     if family == "hypercube":
         _need(dim is not None and dim >= 1, f"hypercube needs dim >= 1, got {dim}")
         size = 1 << dim
         es = {tuple(sorted((u, u ^ (1 << b)))) for u in range(size) for b in range(dim)}
-        return _build(size, es, diameter=dim)
+        return _build(size, es, diameter=dim, lambda2=2.0)
     if family == "explicit":
         _need(n is not None and edges is not None, "explicit graph needs n and edges")
         es = set()
@@ -198,6 +211,16 @@ def make_graph(family: str, *, n: int | None = None, rows: int | None = None,
             es.add(tuple(sorted((int(u), int(v)))))
         return _build(n, es, diameter=None)
     raise ConfigError(f"unknown graph family {family!r} (expected one of {FAMILIES})")
+
+
+def _cycle_lambda2(k: int) -> float:
+    """lambda2 of the k-cycle, 2 - 2cos(2pi/k); a torus side of 2 is K2 (lambda2 2)."""
+    return 2.0 if k == 2 else 4.0 * math.sin(math.pi / k) ** 2
+
+
+def _path_lambda2(k: int) -> float:
+    """lambda2 of the k-node path, 2 - 2cos(pi/k)."""
+    return 4.0 * math.sin(math.pi / (2 * k)) ** 2
 
 
 def _need(cond: bool, message: str) -> None:

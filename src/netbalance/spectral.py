@@ -1,12 +1,19 @@
 """Speed profiles and the Laplacian spectra behind the convergence bounds.
 
 Speeds are exact rationals, normalized so the slowest processor has speed 1;
-floating point enters only when matrices are assembled. The module computes
-the algebraic connectivity lambda2 of the plain Laplacian, the second
-eigenvalue mu2 of the speed-scaled operator L*S^-1 (via the symmetric
-similarity transform S^-1/2 L S^-1/2, which has the same spectrum), and
-evaluates the diameter, degree, Cheeger and interlacing inequalities that the
-protocol analysis rests on.
+floating point enters only when matrices are assembled. The module gives the
+algebraic connectivity lambda2 of the plain Laplacian, the second eigenvalue
+mu2 of the speed-scaled operator L*S^-1 (via the symmetric similarity
+transform S^-1/2 L S^-1/2, which has the same spectrum), and evaluates the
+diameter, degree, Cheeger and interlacing inequalities that the protocol
+analysis rests on.
+
+Each quantity takes its cheapest exact route. lambda2 of a family graph is
+the closed form recorded by `graphs.make_graph`; with every speed 1, mu2 is
+lambda2. Otherwise one dense eigenvalue-only solve gives the value, and two
+Cholesky attempts on the deflated matrix certify it by Sylvester's law of
+inertia (`second_smallest_eigenvalue`). Dense solves are refused past
+DENSE_SOLVE_MAX_NODES nodes with ConfigError.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ from .rng import keyed_generator, STREAM_SPEEDS
 
 #: Default accuracy demanded from the dense symmetric eigensolver.
 EIGEN_TOL = 1e-10
+
+#: Largest node count for which a dense Laplacian is built and solved: one
+#: n x n float64 matrix takes 8 n^2 bytes, 128 MiB at this limit, and the
+#: solve costs O(n^3). Family graphs with uniform speeds never need one.
+DENSE_SOLVE_MAX_NODES = 4096
 
 
 def _as_fraction(value) -> Fraction:
@@ -135,13 +147,17 @@ class SpeedProfile:
         return Fraction(self.n) / sum((1 / s for s in self.speeds), Fraction(0))
 
     @cached_property
-    def granularity(self) -> Fraction:
-        return granularity_of(self.speeds)[0]
+    def _granularity_pair(self) -> tuple[Fraction, tuple[int, ...]]:
+        return granularity_of(self.speeds)
 
-    @cached_property
+    @property
+    def granularity(self) -> Fraction:
+        return self._granularity_pair[0]
+
+    @property
     def multipliers(self) -> tuple[int, ...]:
         """Integers n_i with s_i = n_i * granularity."""
-        return granularity_of(self.speeds)[1]
+        return self._granularity_pair[1]
 
     @cached_property
     def floats(self) -> np.ndarray:
@@ -157,8 +173,18 @@ class SpeedProfile:
 
 
 def laplacian(g: GraphTopology) -> np.ndarray:
-    """Dense Laplacian: deg(i) on the diagonal, -1 on edges."""
+    """Dense Laplacian: deg(i) on the diagonal, -1 on edges.
+
+    Refuses graphs past DENSE_SOLVE_MAX_NODES with ConfigError before
+    allocating anything.
+    """
     n = g.node_count
+    if n > DENSE_SOLVE_MAX_NODES:
+        raise ConfigError(
+            f"a dense eigensolve on {n} nodes exceeds the limit of "
+            f"{DENSE_SOLVE_MAX_NODES} (lambda2 of an explicit graph, or mu2 with "
+            "non-uniform speeds)"
+        )
     mat = np.zeros((n, n))
     for u, v in g.edges:
         mat[u, v] = -1.0
@@ -167,12 +193,12 @@ def laplacian(g: GraphTopology) -> np.ndarray:
     return mat
 
 
-def eigen_decomposition(mat: np.ndarray, tol: float = EIGEN_TOL):
-    """Ascending eigenpairs of a symmetric matrix, residual-checked against tol.
+def eigen_decomposition(mat: np.ndarray, tol: float = EIGEN_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (values only, no vectors).
 
-    Deterministic (no RNG); raises EigensolverError carrying the worst residual
-    norm if any reported pair misses M v = lambda v by more than tol (scaled by
-    the matrix magnitude).
+    The one dense solve of the package. Deterministic (no RNG); rejects a
+    non-square or asymmetric matrix with ConfigError and raises
+    EigensolverError if LAPACK does not converge or returns non-finite values.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -181,28 +207,74 @@ def eigen_decomposition(mat: np.ndarray, tol: float = EIGEN_TOL):
     if float(np.abs(mat - mat.T).max()) > tol * scale:
         raise ConfigError("matrix is not symmetric within tolerance")
     try:
-        vals, vecs = np.linalg.eigh(mat)
+        vals = np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigen decomposition did not converge: {exc}") from exc
-    residual = float(np.abs(mat @ vecs - vecs * vals).max())
-    if not np.isfinite(residual) or residual > tol * scale * mat.shape[0]:
-        raise EigensolverError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance", residual=residual
-        )
-    return vals, vecs
+    if not np.all(np.isfinite(vals)):
+        raise EigensolverError("eigen decomposition returned non-finite values")
+    return vals
 
 
-def second_smallest_eigenvalue(mat: np.ndarray, tol: float = EIGEN_TOL) -> float:
-    """Second element of the ascending eigenvalue list of a symmetric matrix."""
-    if np.asarray(mat).shape[0] < 2:
+def _is_positive_definite(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def second_smallest_eigenvalue(mat: np.ndarray, null_vector=None,
+                               tol: float = EIGEN_TOL) -> float:
+    """Certified second-smallest eigenvalue of a positive semidefinite matrix.
+
+    `null_vector` spans the matrix's known simple kernel (default: the constant
+    vector, the kernel of a connected graph's Laplacian). The value v taken
+    from `eigen_decomposition` is certified by Sylvester's law of inertia on
+    the deflated matrix D = M + c*u*u^T, whose null eigenvalue is moved to c,
+    above the Gershgorin bound of M, so that min eig(D) is the second
+    eigenvalue of M: D - (v - delta)I must factor by Cholesky (every non-null
+    eigenvalue exceeds v - delta) and D - (v + delta)I must not (one lies below
+    v + delta), with delta = tol * max(1, max|M|) * n. Either test going the
+    wrong way raises EigensolverError.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] < 2:
         raise ConfigError("need at least a 2x2 matrix")
-    vals, _ = eigen_decomposition(mat, tol)
-    return float(vals[1])
+    n = mat.shape[0]
+    value = float(eigen_decomposition(mat, tol)[1])
+    u = np.full(n, 1.0) if null_vector is None else np.asarray(null_vector, dtype=float)
+    u = u / np.linalg.norm(u)
+    magnitudes = np.abs(mat)
+    delta = tol * max(1.0, float(magnitudes.max())) * n
+    shift = 2.0 * float(magnitudes.sum(axis=1).max()) + 1.0
+    deflated = np.outer(u, u)
+    deflated *= shift
+    deflated += mat
+    diag = np.diag_indices(n)
+    deflated[diag] -= value - delta
+    if not _is_positive_definite(deflated):
+        raise EigensolverError(
+            f"certificate failed: an eigenvalue lies below {value:.17g} - {delta:.3e}")
+    deflated[diag] -= 2.0 * delta
+    if _is_positive_definite(deflated):
+        raise EigensolverError(
+            f"certificate failed: no eigenvalue within {delta:.3e} of {value:.17g}")
+    return value
+
+
+def lambda2_of(g: GraphTopology) -> float:
+    """Algebraic connectivity of the graph's Laplacian.
+
+    Family graphs carry it in closed form; explicit graphs get one certified
+    dense solve (at most DENSE_SOLVE_MAX_NODES nodes), cached per graph.
+    """
+    if g.lambda2 is not None:
+        return g.lambda2
+    return _solved_lambda2(g)
 
 
 @lru_cache(maxsize=256)
-def lambda2_of(g: GraphTopology) -> float:
-    """Algebraic connectivity of the graph's Laplacian."""
+def _solved_lambda2(g: GraphTopology) -> float:
     return second_smallest_eigenvalue(laplacian(g))
 
 
@@ -215,19 +287,16 @@ def scaled_laplacian(g: GraphTopology, sp: SpeedProfile) -> np.ndarray:
 
 
 def mu2_of(g: GraphTopology, sp: SpeedProfile) -> float:
-    """Second-smallest eigenvalue of the generalized Laplacian L*S^-1."""
-    return second_smallest_eigenvalue(scaled_laplacian(g, sp))
+    """Second-smallest eigenvalue of the generalized Laplacian L*S^-1.
 
-
-def generalized_dot(x, y, sp: SpeedProfile) -> float:
-    """Speed-weighted inner product sum_i x_i y_i / s_i."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (sp.n,) or y.shape != (sp.n,):
-        raise ConfigError(
-            f"vector shapes {x.shape}, {y.shape} do not match node count {sp.n}"
-        )
-    return float(np.sum(x * y * sp.inv_floats))
+    With every speed 1 this is lambda2 and no solve is made; otherwise one
+    certified dense solve of S^-1/2 L S^-1/2, whose kernel is sqrt(s).
+    """
+    if sp.n != g.node_count:
+        raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
+    if sp.s_max == 1:
+        return lambda2_of(g)
+    return second_smallest_eigenvalue(scaled_laplacian(g, sp), np.sqrt(sp.floats))
 
 
 class BoundCheck(NamedTuple):

@@ -54,6 +54,12 @@ def lambda2_closed_form(family, *, n=None, dim=None, rows=None, cols=None):
             for a in range(rows) for b in range(cols)
         )
         return float(vals[1])
+    if family == "grid2d":
+        vals = sorted(
+            (2 - 2 * math.cos(math.pi * a / rows)) + (2 - 2 * math.cos(math.pi * b / cols))
+            for a in range(rows) for b in range(cols)
+        )
+        return float(vals[1])
     raise ValueError(family)
 
 

@@ -1,16 +1,19 @@
 """Speed profiles, Laplacian spectra, and the spectral bound report."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netbalance.errors import ConfigError
+from netbalance import spectral
+from netbalance.cli import EXIT_CONFIG, EXIT_INTERNAL, main as cli_main
+from netbalance.errors import ConfigError, EigensolverError
 from netbalance.graphs import make_graph
 from netbalance.spectral import (
+    DENSE_SOLVE_MAX_NODES,
     SpeedProfile,
     eigen_decomposition,
-    generalized_dot,
     granularity_of,
     laplacian,
     lambda2_of,
@@ -21,6 +24,7 @@ from netbalance.spectral import (
 )
 
 import helpers
+from test_acceptance import SPECTRAL_SIZES
 
 
 def test_laplacian_k2():
@@ -67,21 +71,52 @@ def test_second_smallest_frozen_values():
     ("path", {"n": 17}),
     ("hypercube", {"dim": 5}),
     ("torus2d", {"rows": 4, "cols": 6}),
+    ("grid2d", {"rows": 3, "cols": 5}),
 ])
 def test_lambda2_matches_closed_forms(family, kwargs):
+    # The family graph's lambda2 is itself closed form, so rebuild it as an
+    # explicit graph: that one goes through the certified dense solve.
     g = make_graph(family, **kwargs)
+    explicit = make_graph("explicit", n=g.node_count, edges=g.edges)
+    assert explicit == g and hash(explicit) == hash(g)
+    assert explicit.lambda2 is None
     expected = helpers.lambda2_closed_form(family, **kwargs)
-    assert lambda2_of(g) == pytest.approx(expected, abs=1e-8)
+    assert lambda2_of(explicit) == pytest.approx(expected, abs=1e-8)
+
+
+CLOSED_FORM_CASES = [(fam, kw) for fam, kws in SPECTRAL_SIZES.items() for kw in kws] + [
+    ("grid2d", {"rows": 2, "cols": 2}),
+    ("grid2d", {"rows": 3, "cols": 5}),
+    ("grid2d", {"rows": 6, "cols": 4}),
+    ("torus2d", {"rows": 2, "cols": 3}),
+    ("torus2d", {"rows": 5, "cols": 2}),
+    ("torus2d", {"rows": 3, "cols": 5}),
+    ("cycle", {"n": 3}),
+    ("cycle", {"n": 31}),
+]
+
+
+@pytest.mark.parametrize("family,kwargs", CLOSED_FORM_CASES)
+def test_closed_form_lambda2_matches_eigvalsh(family, kwargs):
+    g = make_graph(family, **kwargs)
+    assert g.lambda2 is not None
+    dense = np.linalg.eigvalsh(laplacian(g))[1]
+    assert lambda2_of(g) == pytest.approx(dense, rel=1e-12)
 
 
 def test_eigensolver_residuals_small():
+    # Each returned eigenvalue v makes M - vI singular to within the solver
+    # tolerance: its smallest singular value is the best residual |(M - vI)x|.
     for fam, kw in (("cycle", {"n": 64}), ("hypercube", {"dim": 6}),
                     ("complete", {"n": 64})):
         g = make_graph(fam, **kw)
         mat = laplacian(g)
-        vals, vecs = eigen_decomposition(mat)
-        residual = np.abs(mat @ vecs - vecs * vals).max()
-        assert residual <= 1e-10 * max(1.0, np.abs(mat).max()) * g.node_count
+        vals = eigen_decomposition(mat)
+        assert np.all(np.diff(vals) >= 0)
+        tol = 1e-10 * max(1.0, np.abs(mat).max()) * g.node_count
+        eye = np.eye(g.node_count)
+        for v in vals:
+            assert np.linalg.svd(mat - v * eye, compute_uv=False).min() <= tol
 
 
 def test_second_smallest_rejects_asymmetric():
@@ -89,24 +124,6 @@ def test_second_smallest_rejects_asymmetric():
         second_smallest_eigenvalue(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ConfigError):
         second_smallest_eigenvalue(np.array([[1.0]]))
-
-
-def test_generalized_dot():
-    sp = SpeedProfile.from_rationals([1, 2])
-    assert generalized_dot([1, 1], [1, 1], sp) == pytest.approx(1.5, abs=1e-15)
-    spu = SpeedProfile.uniform(2)
-    assert generalized_dot([1, -1], [1, 1], spu) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ConfigError):
-        generalized_dot([1, 2, 3], [1, 2], sp)
-
-
-def test_generalized_dot_positive_definite():
-    rng = np.random.default_rng(3)
-    sp = SpeedProfile.from_rationals([1, 3, Fraction(3, 2), 2])
-    for _ in range(50):
-        x = rng.normal(size=4)
-        assert generalized_dot(x, x, sp) >= 0.0
-    assert generalized_dot([0, 0, 0, 0], [0, 0, 0, 0], sp) == 0.0
 
 
 def test_mu2_k2_speeds_1_2():
@@ -158,8 +175,8 @@ def test_generalized_rayleigh_lower_bound():
         e = rng.normal(size=8)
         e -= e.mean()  # <e, s>_S = sum e_i = 0
         lse = laplacian(g) @ (e * sp.inv_floats)
-        lhs = generalized_dot(e, lse, sp)
-        rhs = mu2 * generalized_dot(e, e, sp)
+        lhs = np.sum(e * lse * sp.inv_floats)
+        rhs = mu2 * np.sum(e * e * sp.inv_floats)
         assert lhs >= rhs - 1e-8 * max(1.0, abs(rhs))
 
 
@@ -225,3 +242,87 @@ def test_speed_profile_normalization_and_means():
 def test_scaled_laplacian_shape_mismatch():
     with pytest.raises(ConfigError):
         scaled_laplacian(make_graph("cycle", n=4), SpeedProfile.uniform(3))
+
+
+# Path 5 with these speeds: mu2 is simple, well apart from 0 and mu3.
+CERT_SPEEDS = [1, 2, 1, 3, 1]
+
+
+@pytest.mark.parametrize("wrong_index", [0, 2])
+def test_certificate_rejects_wrong_eigenvalue(monkeypatch, capsys, wrong_index):
+    g = make_graph("path", n=5)
+    sp = SpeedProfile.from_rationals(CERT_SPEEDS)
+    vals = eigen_decomposition(scaled_laplacian(g, sp))
+    assert vals[1] - vals[0] > 0.1 and vals[2] - vals[1] > 0.1
+    solve = spectral.eigen_decomposition
+
+    def wrong(mat, tol=spectral.EIGEN_TOL):
+        # Put vals[wrong_index] where the caller reads the second eigenvalue.
+        got = solve(mat, tol)
+        return np.concatenate([got[:1], got]) if wrong_index == 0 else np.delete(got, 1)
+
+    monkeypatch.setattr(spectral, "eigen_decomposition", wrong)
+    with pytest.raises(EigensolverError):
+        mu2_of(g, sp)
+    code = cli_main(["spectra", "--family", "path", "--n", "5",
+                     "--speeds", ",".join(map(str, CERT_SPEEDS))])
+    assert code == EXIT_INTERNAL
+    assert "certificate failed" in capsys.readouterr().err
+
+
+def _forbid_dense_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("unexpected dense solve")
+    monkeypatch.setattr(spectral, "eigen_decomposition", fail)
+
+
+def test_mu2_uniform_speeds_makes_no_dense_solve(monkeypatch):
+    _forbid_dense_solve(monkeypatch)
+    for fam, kw in (("cycle", {"n": 8}), ("torus2d", {"rows": 32, "cols": 32}),
+                    ("hypercube", {"dim": 4})):
+        g = make_graph(fam, **kw)
+        sp = SpeedProfile.uniform(g.node_count)
+        assert mu2_of(g, sp) == lambda2_of(g) == g.lambda2
+        assert spectral_summary(g, sp).all_hold
+
+
+def test_dense_solve_size_limit(monkeypatch):
+    n = DENSE_SOLVE_MAX_NODES + 1
+    g = make_graph("cycle", n=n)
+    sp = SpeedProfile.from_rationals([2] + [1] * (n - 1))
+    _forbid_dense_solve(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="dense eigensolve"):
+            mu2_of(g, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 100, peak  # no n x n matrix was allocated
+    # Family graphs with uniform speeds need no solve and stay unlimited.
+    uniform = SpeedProfile.uniform(n)
+    assert mu2_of(g, uniform) == lambda2_of(g) == pytest.approx(
+        helpers.lambda2_closed_form("cycle", n=n), rel=1e-9)
+    code = cli_main(["spectra", "--family", "cycle", "--n", str(n),
+                     "--speeds", ",".join(["2"] + ["1"] * (n - 1))])
+    assert code == EXIT_CONFIG
+
+
+def test_dense_solve_size_limit_explicit_graph(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_SOLVE_MAX_NODES", 8)
+    star = make_graph("explicit", n=9, edges=[(0, k) for k in range(1, 9)])
+    with pytest.raises(ConfigError, match="dense eigensolve"):
+        lambda2_of(star)
+    small_star = make_graph("explicit", n=8, edges=[(0, k) for k in range(1, 8)])
+    assert lambda2_of(small_star) == pytest.approx(1.0, abs=1e-10)  # star S_k: 1
+
+
+def test_granularity_computed_once(monkeypatch):
+    calls = []
+    real = spectral.granularity_of
+    monkeypatch.setattr(spectral, "granularity_of",
+                        lambda speeds: calls.append(1) or real(speeds))
+    sp = SpeedProfile.from_rationals([1, Fraction(3, 2), 2])
+    assert sp.granularity == Fraction(1, 2) and sp.multipliers == (2, 3, 4)
+    assert sp.granularity == Fraction(1, 2) and sp.multipliers == (2, 3, 4)
+    assert len(calls) == 1
