@@ -38,7 +38,6 @@ from .protocol import (
     expected_flow,
     is_approx_nash,
     is_nash,
-    migration_probability,
     near_balanced_state,
     non_nash_edges,
     random_placement_state,

@@ -8,12 +8,15 @@ one counter-based stream keyed by (seed, round), so any round can be
 reproduced on its own, whatever ran before it.
 
 A state is a per-node task count plus, for weighted tasks, one flat weight
-array grouped by node. In uniform mode tasks are anonymous, so a node's task
-decisions collapse into one multinomial draw over (move-to-neighbor...,
-stay); load comparisons are done exactly on cross-multiplied integers. In
-weighted mode each task is an individual actor (a neighbor pick and a coin
-from the round's stream, in task order) and comparisons are strict
-floating-point: ties resolve to "no move".
+array grouped by node. A task's migration probability depends only on its
+edge and the round-start loads, never on its own weight, so the tasks on a
+node are exchangeable and every round draws counts first: one multinomial
+row over (move-to-neighbor..., stay) per node, the same draw in both modes.
+Unit tasks are anonymous, so that is the whole round; load comparisons are
+done exactly on cross-multiplied integers. Weighted tasks then draw which of
+a node's tasks leave, a uniform ordered sample of distinct tasks split over
+the edges in row order; comparisons are strict floating-point, and ties
+resolve to "no move".
 """
 
 from __future__ import annotations
@@ -197,6 +200,9 @@ class _EdgeView(NamedTuple):
     ptr: np.ndarray      # CSR offsets: node i's out-edges are [ptr[i], ptr[i+1])
     dij: np.ndarray      # max(deg(src), deg(dst)) per directed edge
     deg: np.ndarray
+    # (d, nodes of degree d ascending, their out-edges as a (nodes, d) block),
+    # by ascending d
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=256)
@@ -211,7 +217,12 @@ def _edge_view(g: GraphTopology) -> _EdgeView:
     deg = np.array(g.degrees, dtype=np.int64)
     ptr = np.zeros(g.node_count + 1, dtype=np.int64)
     np.cumsum(deg, out=ptr[1:])
-    return _EdgeView(src_a, dst_a, ptr, np.maximum(deg[src_a], deg[dst_a]), deg)
+    groups = []
+    for d in sorted(set(g.degrees)):
+        nodes = np.flatnonzero(deg == d)
+        groups.append((d, nodes, ptr[nodes, None] + np.arange(d)))
+    return _EdgeView(src_a, dst_a, ptr, np.maximum(deg[src_a], deg[dst_a]), deg,
+                     tuple(groups))
 
 
 @lru_cache(maxsize=256)
@@ -254,7 +265,13 @@ def _flow_array(g: GraphTopology, sp: SpeedProfile, state: LoadState,
 
 
 def _per_task_probability_array(g, sp, state, params) -> tuple[np.ndarray, np.ndarray]:
-    """(p_e, trigger): chance a task that picked this edge's neighbor migrates."""
+    """(p_e, trigger): chance a task that picked this edge's neighbor migrates.
+
+    p_e = (deg(i)/d_ij) * (l_i - l_j) / (alpha * (1/s_i + 1/s_j) * W_i) on
+    triggered edges and 0 elsewhere (the printed rule's own formula under
+    `printed_weighted_rule`). It is at most 1/8 when alpha >= 4*s_max; below
+    that floor it can exceed 1, and the round kernel clamps it at 1.
+    """
     ev = _edge_view(g)
     weights = state.node_weights()
     out = np.zeros(len(ev.src))
@@ -281,24 +298,6 @@ def expected_flow(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     e = _edge_index(g, i, j)
     flow, _ = _flow_array(g, sp, state, params)
     return float(flow[e])
-
-
-def migration_probability(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                          params: ProtocolParams, i: int, j: int) -> float:
-    """Migration probability for a task on i that sampled neighbor j.
-
-    Equals (deg(i)/d_ij) * (l_i - l_j) / (alpha * (1/s_i + 1/s_j) * W_i) on
-    triggered edges and 0 otherwise; clamped to [0, 1], where clamping can
-    only ever fire for alpha below the protocol's 4*s_max floor.
-    """
-    e = _edge_index(g, i, j)
-    prob, _ = _per_task_probability_array(g, sp, state, params)
-    p = float(prob[e])
-    if resolve_alpha(params, sp) >= 4 * sp.s_max and p > 0.125 + 1e-12:
-        raise RuntimeError(
-            f"internal error: migration probability {p} above 1/8 despite alpha >= 4*s_max"
-        )
-    return min(max(p, 0.0), 1.0)
 
 
 def non_nash_edges(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> set:
@@ -344,62 +343,101 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     identical (all randomness comes from one stream keyed by (rng_seed,
     round_index)). A task on node i picks a neighbor with probability
     1/deg(i) and then moves with probability min(p_e, 1); tasks on nodes
-    without a triggered out-edge draw nothing.
+    without a triggered out-edge draw nothing. Counts come first: the stream
+    draws how many tasks leave along each edge (`_moved_per_edge`), and for
+    weighted tasks then which ones, a uniform choice of movers per node
+    (`_mover_tasks`).
     """
     check_variant(state, params)
     prob, trig = _per_task_probability_array(g, sp, state, params)
     if not trig.any():
         return state, 0
     gen = generator_from_prefix(key_prefix(params.rng_seed, STREAM_ROUND), round_index)
-    if state.weights is None:
-        return _step_uniform(g, state, prob, trig, gen)
-    return _step_weighted(g, state, prob, trig, gen)
-
-
-def _step_uniform(g, state, prob, trig, gen):
     ev = _edge_view(g)
-    active = np.unique(ev.src[trig])
-    moved = np.zeros(len(ev.src), dtype=np.int64)   # tasks moved per directed edge
-    # Anonymous tasks: one multinomial row over (move-to-neighbor..., stay)
-    # per active node, one call per distinct degree d, rows of length d + 1.
-    # Clamped move probabilities can sum to 1 + ulp, hence the floor at 0.
-    for d in np.unique(ev.deg[active]):
-        nodes = active[ev.deg[active] == d]
-        edges = ev.ptr[nodes, None] + np.arange(d)
-        pvals = np.empty((len(nodes), d + 1))
-        pvals[:, :d] = np.minimum(prob[edges], 1.0) / d
-        pvals[:, d] = np.maximum(1.0 - pvals[:, :d].sum(axis=1), 0.0)
-        moved[edges] = gen.multinomial(state.counts[nodes], pvals)[:, :d]
+    moved = _moved_per_edge(ev, state.counts, prob, trig, gen)
     total = int(moved.sum())
     if total == 0:
         return state, 0
     new_counts = state.counts.copy()
     np.add.at(new_counts, ev.dst, moved)
     np.subtract.at(new_counts, ev.src, moved)
-    return LoadState(new_counts), total
+    if state.weights is None:
+        return LoadState(new_counts), total
+    return LoadState(new_counts, _regroup(ev, state, new_counts, moved, gen)), total
 
 
-def _step_weighted(g, state, prob, trig, gen):
-    ev = _edge_view(g)
-    active = np.zeros(g.node_count, dtype=bool)
-    active[ev.src[trig]] = True
-    # Tasks on active nodes draw in flat task order: every neighbor pick,
-    # then every acceptance coin.
-    drawing = np.flatnonzero(active[state.owner])
-    node = state.owner[drawing]
-    edge = ev.ptr[node] + gen.integers(0, ev.deg[node])
-    hit = gen.random(len(drawing)) < prob[edge]
-    total = int(hit.sum())
-    if total == 0:
-        return state, 0
-    moved = np.zeros(len(state.owner), dtype=bool)
-    moved[drawing[hit]] = True
-    dest = state.owner.copy()                       # each task's node after the round
-    dest[drawing[hit]] = ev.dst[edge[hit]]
-    # Stable regroup by destination: kept tasks first, then arrivals in
-    # (source node, slot) order.
-    order = np.lexsort((moved, dest))
-    return LoadState(np.bincount(dest, minlength=g.node_count), state.weights[order]), total
+def _moved_per_edge(ev: _EdgeView, counts, prob, trig, gen) -> np.ndarray:
+    """Tasks leaving along each directed edge this round.
+
+    Exchangeable tasks: one multinomial row over (move-to-neighbor..., stay)
+    per node with a triggered out-edge, one call per distinct degree d, rows
+    of length d + 1 in ascending node order. Clamped move probabilities can
+    sum to 1 + ulp, hence the floor at 0.
+    """
+    moved = np.zeros(len(ev.src), dtype=np.int64)
+    for d, nodes, edges in ev.groups:
+        active = trig[edges].any(axis=1)
+        if not active.any():
+            continue
+        nodes, edges = nodes[active], edges[active]
+        pvals = np.empty((len(nodes), d + 1))
+        pvals[:, :d] = np.minimum(prob[edges], 1.0) / d
+        pvals[:, d] = np.maximum(1.0 - pvals[:, :d].sum(axis=1), 0.0)
+        moved[edges] = gen.multinomial(counts[nodes], pvals)[:, :d]
+    return moved
+
+
+def _mover_tasks(first, size, gen) -> np.ndarray:
+    """Distinct task indices for movers grouped by node, a uniform ordered sample per node.
+
+    Mover k belongs to the node whose tasks are first[k] .. first[k]+size[k]-1
+    and draws one of them uniformly. While two movers hold one task, every
+    holder but the first draws again, uniformly among the node's tasks that
+    no mover keeps. Which movers draw again depends only on positions and
+    equal draws, never on task labels, so every ordered sample of distinct
+    tasks is equally likely; drawing from free tasks only ends in few passes
+    even when a node's movers are nearly all of its tasks.
+    """
+    task = first + gen.integers(0, size)
+    while True:
+        held, kept = np.unique(task, return_index=True)   # the first holder keeps a task
+        if len(held) == len(task):
+            return task
+        redraw = np.ones(len(task), dtype=bool)
+        redraw[kept] = False
+        lo = first[redraw]
+        held_before = np.searchsorted(held, lo)
+        held_in = np.searchsorted(held, lo + size[redraw]) - held_before
+        # The rank-th task that no mover keeps is rank + #{j: held[j] - j <= rank}.
+        rank = lo - held_before + gen.integers(0, size[redraw] - held_in)
+        task[redraw] = rank + np.searchsorted(held - np.arange(len(held)), rank, "right")
+
+
+def _regroup(ev: _EdgeView, state: LoadState, new_counts, moved, gen) -> np.ndarray:
+    """The weights after the round: on each node its kept tasks in order,
+    then arrivals in (source node, slot) order.
+
+    A node's first c_e1 movers take its first out-edge, the next c_e2 the
+    second, and so on.
+    """
+    edge = np.repeat(np.arange(len(moved)), moved)     # movers grouped by node
+    src = ev.src[edge]
+    starts = state.counts.cumsum() - state.counts
+    task = _mover_tasks(starts[src], state.counts[src], gen)
+    dst = ev.dst[edge]
+    order = np.lexsort((task, dst))                 # task order is (source, slot) order
+    task, dst = task[order], dst[order]
+    arrivals = np.bincount(dst, minlength=len(new_counts))
+    # Arrivals fill the tail of their node's block; kept tasks fill the rest in order.
+    pos = (new_counts.cumsum() - arrivals.cumsum())[dst] + np.arange(len(dst))
+    weights = np.empty_like(state.weights)
+    weights[pos] = state.weights[task]
+    kept = np.ones(len(weights), dtype=bool)
+    kept[task] = False
+    free = np.ones(len(weights), dtype=bool)
+    free[pos] = False
+    weights[free] = state.weights[kept]
+    return weights
 
 
 # ---------------------------------------------------------------------------

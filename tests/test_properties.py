@@ -23,10 +23,10 @@ from netbalance.protocol import (
     ALGORITHM2,
     LoadState,
     ProtocolParams,
-    migration_probability,
     non_nash_edges,
     step_round_totals,
 )
+from netbalance.protocol import _edge_index, _per_task_probability_array
 from netbalance.rng import STREAM_ROUND, generator_from_prefix, key_prefix
 from netbalance.spectral import SpeedProfile
 
@@ -91,34 +91,65 @@ def test_step_is_determined_by_its_key(inst, seed, r):
 def reference_weighted_step(g, sp, state, params, round_index):
     """The weighted round as a plain loop over per-node task lists.
 
-    One stream per round: every task on a node with a triggered out-edge
-    draws a neighbor pick, in node-major slot order, and then each of them
-    draws its coin in the same order. A node keeps its staying tasks in
-    order and appends arrivals in (source node, slot) order.
+    One stream per round. Counts first: each node with a triggered out-edge,
+    in (degree, node) order, draws one multinomial row over (move along each
+    out-edge..., stay) with its task count. Then movers, in node order and
+    row order within a node, draw task slots: one `integers` call for every
+    mover's first draw, then one call per pass for the movers whose slot an
+    earlier mover of their node holds, each drawing among the slots that no
+    mover keeps. A node's first c_1 movers take its first out-edge, the next
+    c_2 the second, and so on. A node keeps its staying tasks in order and
+    appends arrivals in (source node, slot) order.
     """
     tasks = state.to_payload()["tasks"]
+    prob, _ = _per_task_probability_array(g, sp, state, params)
     active = {i for i, _ in non_nash_edges(g, sp, state)}
-    drawing = [(i, w) for i, node in enumerate(tasks) if i in active for w in node]
-    kept = [[] if i in active else list(node) for i, node in enumerate(tasks)]
-    arrivals = [[] for _ in tasks]
     gen = generator_from_prefix(key_prefix(params.rng_seed, STREAM_ROUND), round_index)
-    picks = [gen.integers(0, g.degrees[i]) for i, _ in drawing]
-    coins = [gen.random() for _ in drawing]
-    for (i, w), k, c in zip(drawing, picks, coins):
-        j = g.neighbors[i][k]
-        if c < migration_probability(g, sp, state, params, i, j):
-            arrivals[j].append(w)
-        else:
-            kept[i].append(w)
-    moves = sum(len(a) for a in arrivals)
-    return LoadState.weighted([k + a for k, a in zip(kept, arrivals)]), moves
+    rows = {}
+    for i in sorted(active, key=lambda i: (g.degrees[i], i)):
+        d = g.degrees[i]
+        move_p = [min(float(prob[_edge_index(g, i, j)]), 1.0) / d for j in g.neighbors[i]]
+        rows[i] = gen.multinomial(len(tasks[i]), move_p + [max(1.0 - sum(move_p), 0.0)])
+    movers = [i for i in sorted(rows) for _ in range(sum(rows[i][:-1]))]
+    if not movers:
+        return state, 0
+    slots = [int(x) for x in gen.integers(0, [len(tasks[i]) for i in movers])]
+    while True:
+        kept = {i: set() for i in rows}
+        redraw = []
+        for k, i in enumerate(movers):
+            if slots[k] in kept[i]:
+                redraw.append(k)
+            else:
+                kept[i].add(slots[k])
+        if not redraw:
+            break
+        free = {i: sorted(set(range(len(tasks[i]))) - kept[i]) for i in rows}
+        draws = gen.integers(0, [len(free[movers[k]]) for k in redraw])
+        for k, u in zip(redraw, draws):
+            slots[k] = free[movers[k]][int(u)]
+    leaving = {}                                    # (node, slot) -> destination
+    k = 0
+    for i in sorted(rows):
+        for j, c in zip(g.neighbors[i], rows[i]):
+            for _ in range(c):
+                leaving[i, slots[k]] = j
+                k += 1
+    new = [[w for s, w in enumerate(node) if (i, s) not in leaving]
+           for i, node in enumerate(tasks)]
+    for (i, s), j in sorted(leaving.items()):
+        new[j].append(tasks[i][s])
+    return LoadState.weighted(new), len(movers)
 
 
 @PROPERTY
-@given(instances(modes=("weighted",)), seeds, rounds, st.booleans())
-def test_weighted_step_matches_loop_reference(inst, seed, r, printed):
+@given(instances(modes=("weighted",)), seeds, rounds, st.booleans(),
+       st.sampled_from((Fraction(1, 16), 1)))
+def test_weighted_step_matches_loop_reference(inst, seed, r, printed, alpha_factor):
+    # Far below the alpha floor most tasks move, so slot draws repeat often.
     g, sp, state = inst
-    params = protocol_params(state, seed, printed_weighted_rule=printed)
+    params = protocol_params(state, seed, alpha=4 * sp.s_max * alpha_factor,
+                             printed_weighted_rule=printed)
     assert step_round_totals(g, sp, state, params, r) == \
         reference_weighted_step(g, sp, state, params, r)
 
@@ -130,8 +161,36 @@ def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed)
     printed = printed and state.weights is not None
     params = protocol_params(state, alpha=4 * sp.s_max * factor,
                              printed_weighted_rule=printed)
+    prob, _ = _per_task_probability_array(g, sp, state, params)
     for i, j in g.directed_edges():
-        assert migration_probability(g, sp, state, params, i, j) <= 1 / 8
+        assert prob[_edge_index(g, i, j)] <= 1 / 8
+
+
+DYADIC_SPEEDS = (1, 2, 4)
+
+
+@PROPERTY
+@given(st.sampled_from(GRAPHS).flatmap(lambda g: st.tuples(
+           st.just(g),
+           st.lists(st.sampled_from(DYADIC_SPEEDS), min_size=g.node_count,
+                    max_size=g.node_count),
+           st.lists(st.integers(0, 12), min_size=g.node_count, max_size=g.node_count))),
+       st.sampled_from((Fraction(1, 8), 1, 4)), seeds, rounds)
+def test_unit_weights_draw_the_unit_task_counts(inst, alpha_factor, seed, r):
+    # Weights 1.0 and power-of-two speeds make every float load exact, so the
+    # weighted trigger and probabilities equal the unit-task ones, and the
+    # shared count draw must give the same next counts.
+    g, speeds, counts = inst
+    sp = SpeedProfile.from_rationals(speeds)
+    unit = LoadState.uniform(counts)
+    weighted = LoadState.weighted([[1.0] * c for c in counts])
+    alpha = 4 * sp.s_max * alpha_factor
+    new_unit, unit_moves = step_round_totals(
+        g, sp, unit, protocol_params(unit, seed, alpha=alpha), r)
+    new_weighted, weighted_moves = step_round_totals(
+        g, sp, weighted, protocol_params(weighted, seed, alpha=alpha), r)
+    assert np.array_equal(new_weighted.counts, new_unit.counts)
+    assert weighted_moves == unit_moves
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,7 +18,6 @@ from netbalance.protocol import (
     expected_flow,
     is_approx_nash,
     is_nash,
-    migration_probability,
     near_balanced_state,
     non_nash_edges,
     random_placement_state,
@@ -28,6 +27,7 @@ from netbalance.protocol import (
     weighted_near_balanced,
     weighted_random_placement,
 )
+from netbalance.protocol import _edge_index, _per_task_probability_array
 from netbalance.spectral import SpeedProfile
 
 K2 = make_graph("complete", n=2)
@@ -37,6 +37,12 @@ UNI2 = SpeedProfile.uniform(2)
 
 def params(seed=1, **kw):
     return ProtocolParams(rng_seed=seed, **kw)
+
+
+def migration_probability(g, sp, st, pp, i, j):
+    """p_e of directed edge (i, j), read from the kernel's per-task probability array."""
+    prob, _ = _per_task_probability_array(g, sp, st, pp)
+    return float(prob[_edge_index(g, i, j)])
 
 
 def test_migration_probability_hand_examples():

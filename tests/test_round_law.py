@@ -1,7 +1,7 @@
 """The whole one-round law of the step function against exact enumeration.
 
 Each case fixes a tiny state (K2, P3 or C4; speeds 1,2 or 1,3/2 repeated
-along the nodes; at most 8 unit tasks or 5 weighted tasks, both weighted
+along the nodes; at most 8 unit tasks or 6 weighted tasks, both weighted
 rules) and draws ROUNDS rounds from `step_round_totals` under round indices
 0..ROUNDS-1. The histogram of next states is compared with the exact law
 from `helpers` by a G-test: cells with expected count below 5 are merged
@@ -48,6 +48,11 @@ CASES = [
     for pattern in ((1, 2), (1, Fraction(3, 2)))
     for tasks, rule in ((counts, None), (lists, "definition"), (lists, "printed"))
 ]
+# Which tasks leave: six distinct weights on one node whose two neighbors are
+# both lighter, so movers split over two edges and task draws often repeat.
+MOVERS_CASE = (make_graph("cycle", n=4), (1, 2),
+               [[1.0, 0.875, 0.75, 0.5, 0.25, 0.125], [], [], []], "definition")
+CASES.append(MOVERS_CASE)
 
 
 def g_test_pvalue(observed: Counter, law: dict, draws: int) -> tuple[float, int]:
@@ -73,7 +78,8 @@ def g_test_pvalue(observed: Counter, law: dict, draws: int) -> tuple[float, int]
 
 def _case_id(case):
     g, pattern, _, rule = case
-    return f"n{g.node_count}-speeds{'_'.join(map(str, pattern))}-{rule or 'unit'}"
+    suffix = "-movers" if case is MOVERS_CASE else ""
+    return f"n{g.node_count}-speeds{'_'.join(map(str, pattern))}-{rule or 'unit'}{suffix}"
 
 
 @pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
