@@ -17,7 +17,7 @@ from .analysis import (
 )
 from .corpus import CorpusCase, default_corpus
 from .errors import ConfigError, DisconnectedGraphError, EigensolverError
-from .graphs import GraphTopology, isoperimetric_number, load_edge_list, make_graph, pair_degree
+from .graphs import GraphTopology, isoperimetric_number, load_edge_list, make_graph
 from .potentials import (
     PotentialSnapshot,
     critical_value,
@@ -25,7 +25,6 @@ from .potentials import (
     exact_expected_psi1_drop,
     exact_variance_sum,
     gamma_factor,
-    lambda_term,
     node_change_moments,
     snapshot,
 )
@@ -35,7 +34,6 @@ from .protocol import (
     all_on_one_state,
     default_alpha,
     exact_ne_alpha,
-    expected_flow,
     is_approx_nash,
     is_nash,
     near_balanced_state,

@@ -10,9 +10,10 @@ a master seed, so a whole experiment is reproducible bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .potentials import (
     variance_bound,
 )
 from .protocol import (
-    ALGORITHM1,
-    ALGORITHM2,
     LoadState,
     MODE_UNIFORM,
     ProtocolParams,
@@ -89,8 +88,7 @@ TRACE_HEADER = ("round", "psi0", "psi1", "l_delta", "max_load", "min_load", "mov
 
 def run_trial(g: GraphTopology, sp: SpeedProfile, init_state: LoadState,
               params: ProtocolParams, stop: StopRule, round_cap: int,
-              *, psi_threshold: float | None = None, psi_constant: int = 8,
-              approx_eps: float | None = None,
+              *, psi_threshold: float | None = None, approx_eps: float | None = None,
               collect_trace: bool = False) -> TrialResult:
     """Run one trial until `stop` fires or `round_cap` rounds have executed.
 
@@ -100,11 +98,9 @@ def run_trial(g: GraphTopology, sp: SpeedProfile, init_state: LoadState,
     """
     if round_cap < 1:
         raise ConfigError(f"round_cap must be >= 1, got {round_cap}")
-    if stop.kind == "exact-ne" and init_state.mode == MODE_UNIFORM:
-        sp.granularity  # materializes; raises if speeds were not exact rationals
     eps = stop.eps if stop.kind == "approx-ne" else approx_eps
     if psi_threshold is None:
-        psi_threshold = 4.0 * critical_value(g, sp, constant=psi_constant)
+        psi_threshold = 4.0 * critical_value(g, sp)
 
     state = init_state
     hit_psi: int | None = None
@@ -248,34 +244,24 @@ def _family_graph(family: str, n: int) -> GraphTopology:
 
 
 def scaling_experiment(family: str, sizes: Sequence[int], *, master_seed: int,
-                       trials: int, m_rule: Callable[[int], int] | None = None,
-                       speed_rule: Callable[[int], SpeedProfile] | None = None,
-                       stop: StopRule | None = None,
-                       cap_rule: Callable[..., int] | None = None,
-                       psi_constant: int = 8) -> list[ScalingRow]:
-    """Median hitting times across sizes of one family (default: to psi0 <= 4*psi_c).
+                       trials: int) -> list[ScalingRow]:
+    """Median rounds to psi0 <= 4*psi_c across sizes of one family.
 
-    Defaults follow the trend-check setup: m = n^3, uniform speeds, worst-case
+    The trend-check setup: m = n^3 unit tasks, uniform speeds, worst-case
     all-on-one start, cap at 4*gamma*ln(m/n) (not binding in practice).
     """
-    m_rule = m_rule or (lambda n: n**3)
-    speed_rule = speed_rule or SpeedProfile.uniform
-    stop = stop or StopRule("psi-threshold")
+    stop = StopRule("psi-threshold")
     rows = []
     for n in sizes:
         g = _family_graph(family, n)
-        sp = speed_rule(g.node_count)
-        m = m_rule(g.node_count)
+        sp = SpeedProfile.uniform(g.node_count)
+        m = g.node_count ** 3
         lam2 = lambda2_of(g)
         gam = gamma_factor(g, sp, lam2)
-        if cap_rule is not None:
-            cap = cap_rule(g, sp, m, lam2, gam)
-        else:
-            cap = int(np.ceil(4.0 * gam * np.log(max(m / g.node_count, 2.0)))) + 1
-        params = ProtocolParams(rng_seed=derive_seed(master_seed, n), variant=ALGORITHM1)
+        cap = int(np.ceil(4.0 * gam * np.log(max(m / g.node_count, 2.0)))) + 1
+        params = ProtocolParams(rng_seed=derive_seed(master_seed, n))
         summary = measure_convergence(
-            g, sp, all_on_one_state(g.node_count, m), params, stop, trials, cap,
-            psi_constant=psi_constant)
+            g, sp, all_on_one_state(g.node_count, m), params, stop, trials, cap)
         rows.append(ScalingRow(
             n=g.node_count, m=m, lambda2=lam2, gamma=gam,
             median_rounds=summary.median_rounds,
@@ -327,8 +313,7 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
     """Every lemma inequality the suite covers, evaluated on one corpus state."""
     g, sp, state = case.graph, case.speeds, case.state
     checks: list[LemmaCheck] = []
-    variant = ALGORITHM1 if state.mode == MODE_UNIFORM else ALGORITHM2
-    params = ProtocolParams(rng_seed=0, variant=variant, alpha=default_alpha(sp))
+    params = ProtocolParams(rng_seed=0, alpha=default_alpha(sp))
     lam2 = lambda2_of(g)
     # Looked up on the module, so wrappers installed there see every pass.
     moments = potentials.node_change_moments(g, sp, state, params)
@@ -422,7 +407,13 @@ def _granularity_checks(case: CorpusCase, tol) -> list[LemmaCheck]:
 
 def verify_lemma_suite(cases: list[CorpusCase] | None = None,
                        tol: float = 1e-9) -> SuiteReport:
-    """Evaluate every covered lemma inequality across the corpus."""
+    """Evaluate every covered lemma inequality across the corpus.
+
+    tol must be finite and non-negative: a NaN or infinite slack makes the
+    identity checks NaN, and a negative one fails checks that hold exactly.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be a finite non-negative number, got {tol}")
     if cases is None:
         cases = default_corpus()
     checks: list[LemmaCheck] = []

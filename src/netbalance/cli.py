@@ -27,11 +27,10 @@ from .errors import ConfigError, EigensolverError
 from .graphs import GraphTopology, load_edge_list, make_graph
 from .potentials import critical_value, gamma_factor
 from .protocol import (
-    ALGORITHM1,
-    ALGORITHM2,
     LoadState,
     ProtocolParams,
     all_on_one_state,
+    check_printed_rule,
     exact_ne_alpha,
     random_placement_state,
     random_task_weights,
@@ -75,7 +74,6 @@ class ExperimentConfig:
     tasks_counts: str | None = None
     tasks_weights: str | None = None
     tasks_seed: int | None = None
-    protocol_variant: str | None = None
     protocol_alpha: Fraction | None = None
     protocol_eps: float | None = None
     protocol_psi_constant: int = 8
@@ -121,7 +119,6 @@ CONFIG_KEYS = {
     "tasks.counts": ("tasks_counts", str, str),
     "tasks.weights": ("tasks_weights", str, str),
     "tasks.seed": ("tasks_seed", int, str),
-    "protocol.variant": ("protocol_variant", str, str),
     "protocol.alpha": ("protocol_alpha", Fraction, str),
     "protocol.eps": ("protocol_eps", float, fmt17),
     "protocol.psi_constant": ("protocol_psi_constant", int, str),
@@ -292,16 +289,18 @@ def build_init_spec(cfg: ExperimentConfig, g: GraphTopology):
 
 def build_params(cfg: ExperimentConfig, sp: SpeedProfile) -> ProtocolParams:
     """Protocol knobs; alpha defaults to 4*s_max, or to 4*s_max/eps for unit
-    tasks under the exact-ne stop, where the exact-equilibrium cap is proven."""
+    tasks under the exact-ne stop, where the exact-equilibrium cap is proven.
+
+    The tasks pick the algorithm, so the printed weighted rule with unit
+    tasks is rejected here, before any work."""
     unit_tasks = cfg.tasks_mode in ("uniform", "explicit-counts")
-    variant = cfg.protocol_variant
-    if variant is None:
-        variant = ALGORITHM1 if unit_tasks else ALGORITHM2
     alpha = cfg.protocol_alpha
     if alpha is None and cfg.run_stop == "exact-ne" and unit_tasks:
         alpha = exact_ne_alpha(sp)
-    return ProtocolParams(rng_seed=_master_seed(cfg), variant=variant, alpha=alpha,
-                          printed_weighted_rule=cfg.protocol_printed_rule)
+    params = ProtocolParams(rng_seed=_master_seed(cfg), alpha=alpha,
+                            printed_weighted_rule=cfg.protocol_printed_rule)
+    check_printed_rule(params, unit_tasks)
+    return params
 
 
 def build_stop(cfg: ExperimentConfig) -> StopRule:

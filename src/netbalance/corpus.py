@@ -91,8 +91,7 @@ def _weighted_states(g: GraphTopology, sp: SpeedProfile, tag: str) -> list[tuple
     ]
 
 
-def default_corpus(modes: tuple[str, ...] = ("uniform", "weighted"),
-                   nash_only: bool = False) -> list[CorpusCase]:
+def default_corpus(nash_only: bool = False) -> list[CorpusCase]:
     """The full corpus; `nash_only` keeps just the states already at the threshold.
 
     `nash_only` is a diagnostic subset: on it every drop lower bound is
@@ -104,12 +103,8 @@ def default_corpus(modes: tuple[str, ...] = ("uniform", "weighted"),
     for gname, g in corpus_graphs():
         for sname, sp in corpus_speeds(g.node_count):
             tag = f"{gname}/{sname}"
-            builders = []
-            if "uniform" in modes:
-                builders.append(("uniform", _uniform_states(g, sp, tag)))
-            if "weighted" in modes:
-                builders.append(("weighted", _weighted_states(g, sp, tag)))
-            for mode, states in builders:
+            for mode, states in (("uniform", _uniform_states(g, sp, tag)),
+                                 ("weighted", _weighted_states(g, sp, tag))):
                 for state_name, state in states:
                     if nash_only and not is_nash(g, sp, state):
                         continue

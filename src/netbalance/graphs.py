@@ -60,19 +60,6 @@ class GraphTopology:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def is_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        u, v = (i, j) if i < j else (j, i)
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self) -> frozenset:
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
-
     def directed_edges(self):
         """Yield both orientations of every edge."""
         for u, v in self.edges:
@@ -80,21 +67,14 @@ class GraphTopology:
             yield v, u
 
 
-def pair_degree(g: GraphTopology, i: int, j: int) -> int:
-    """max(deg(i), deg(j)) for an edge (i, j); rejects non-edges."""
-    if not g.is_edge(i, j):
-        raise ConfigError(f"({i}, {j}) is not an edge of the graph")
-    return max(g.degrees[i], g.degrees[j])
-
-
-def bfs_distances(g: GraphTopology, source: int) -> list[int]:
-    """Shortest-path hop counts from `source` (-1 marks unreachable)."""
-    dist = [-1] * g.node_count
+def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Shortest-path hop counts from `source` over adjacency lists (-1 marks unreachable)."""
+    dist = [-1] * len(neighbors)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in g.neighbors[u]:
+        for v in neighbors[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -125,7 +105,7 @@ def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None,
         # as the connectivity check.
         ecc = []
         for s in range(n):
-            dist = bfs_distances(_Tmp(n, neighbors), s)
+            dist = bfs_distances(neighbors, s)
             if min(dist) < 0:
                 raise DisconnectedGraphError(
                     f"graph is not connected (node {dist.index(-1)} unreachable from {s})"
@@ -133,7 +113,7 @@ def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None,
             ecc.append(max(dist))
         diameter = max(ecc)
     else:
-        probe = bfs_distances(_Tmp(n, neighbors), 0)
+        probe = bfs_distances(neighbors, 0)
         if min(probe) < 0:
             raise DisconnectedGraphError(
                 f"graph is not connected (node {probe.index(-1)} unreachable from 0)"
@@ -147,14 +127,6 @@ def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None,
         diameter=diameter,
         lambda2=lambda2,
     )
-
-
-class _Tmp:
-    """Minimal adjacency view so bfs_distances can run during construction."""
-
-    def __init__(self, n, neighbors):
-        self.node_count = n
-        self.neighbors = neighbors
 
 
 def make_graph(family: str, *, n: int | None = None, rows: int | None = None,
@@ -256,16 +228,17 @@ def load_edge_list(path) -> GraphTopology:
     return parse_edge_list(text)
 
 
-def isoperimetric_number(g: GraphTopology, cap: int = ISO_BRUTE_FORCE_CAP) -> Fraction:
+def isoperimetric_number(g: GraphTopology) -> Fraction:
     """Brute-force i(G) = min over nonempty S, |S| <= n/2, of |boundary(S)| / |S|.
 
-    Enumerates all subsets, so it is limited to n <= cap nodes; larger graphs
-    are rejected and callers should fall back to bound-check-only mode.
+    Enumerates all subsets, so it is limited to n <= ISO_BRUTE_FORCE_CAP nodes;
+    larger graphs are rejected and callers should fall back to bound-check-only
+    mode.
     """
     n = g.node_count
-    if n > cap:
+    if n > ISO_BRUTE_FORCE_CAP:
         raise ConfigError(
-            f"isoperimetric brute force capped at n <= {cap} (got n={n}); "
+            f"isoperimetric brute force capped at n <= {ISO_BRUTE_FORCE_CAP} (got n={n}); "
             "use bound-check-only mode for larger graphs"
         )
     half = n // 2

@@ -38,8 +38,7 @@ from .protocol import (
     ProtocolParams,
     _edge_view,
     _flow_array,
-    check_variant,
-    expected_flow,
+    check_printed_rule,
     resolve_alpha,
 )
 from .spectral import SpeedProfile, lambda2_of
@@ -103,21 +102,6 @@ def _cross_check(name: str, direct: float, shifted: float, scale: float) -> None
         )
 
 
-def lambda_term(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                params: ProtocolParams, i: int, j: int, r: int) -> float:
-    """(2*alpha - 2) * d_ij * (1/s_i + 1/s_j) * f_ij + r/s_i - r/s_j.
-
-    On non-Nash edges this equals (2 - 2/alpha)*(l_i - l_j) + r/s_i - r/s_j.
-    """
-    if r not in (0, 1):
-        raise ConfigError(f"r must be 0 or 1, got {r}")
-    alpha = float(resolve_alpha(params, sp))
-    f = expected_flow(g, sp, state, params, i, j)
-    dij = max(g.degrees[i], g.degrees[j])
-    inv = sp.inv_floats
-    return (2.0 * alpha - 2.0) * dij * (inv[i] + inv[j]) * f + r * inv[i] - r * inv[j]
-
-
 # ---------------------------------------------------------------------------
 # Exact per-node moments of the one-round weight change
 
@@ -145,7 +129,7 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     tasks feed floats, and loads are the products W_i * (1/s_i) that the
     round kernel compares, so both trigger on the same edges.
     """
-    check_variant(state, params)
+    check_printed_rule(params, state.weights is None)
     alpha = resolve_alpha(params, sp)
     if state.weights is None:
         w = state.counts.tolist()   # Python ints: no numpy scalar meets a Fraction
@@ -277,16 +261,12 @@ def critical_value(g: GraphTopology, sp: SpeedProfile, lam2: float | None = None
     return constant * g.node_count * g.max_degree * float(sp.s_max) / lam2
 
 
-def gamma_factor(g: GraphTopology, sp: SpeedProfile, lam2: float | None = None,
-                 weighted: bool = False) -> float:
+def gamma_factor(g: GraphTopology, sp: SpeedProfile, lam2: float | None = None) -> float:
     """gamma with 1/gamma = lambda2 / (32 * Delta * s_max^2).
 
-    The weighted-task variant carries an extra 1/s_min factor (identity 1 for
-    normalized profiles, kept for formula fidelity).
+    The weighted-task bound's extra 1/s_min factor is 1: speed profiles are
+    normalized so that s_min = 1.
     """
     if lam2 is None:
         lam2 = lambda2_of(g)
-    gam = 32.0 * g.max_degree * float(sp.s_max) ** 2 / lam2
-    if weighted:
-        gam /= float(sp.s_min)
-    return gam
+    return 32.0 * g.max_degree * float(sp.s_max) ** 2 / lam2

@@ -1,11 +1,13 @@
 """System states and one synchronous round of the randomized migration protocols.
 
-Round semantics: every task draws a uniformly random neighbor of its current
-node; if the load gap to that neighbor strictly exceeds 1/s_j, the task
-migrates with a probability proportional to the gap. All probabilities are
-evaluated against the round-start state, and all of a round's draws come from
-one counter-based stream keyed by (seed, round), so any round can be
-reproduced on its own, whatever ran before it.
+The tasks pick the protocol: unit tasks run the paper's Algorithm 1 and
+weighted tasks its Algorithm 2, so the state alone decides which one a round
+executes. Round semantics: every task draws a uniformly random neighbor of
+its current node; if the load gap to that neighbor strictly exceeds 1/s_j,
+the task migrates with a probability proportional to the gap. All
+probabilities are evaluated against the round-start state, and all of a
+round's draws come from one counter-based stream keyed by (seed, round), so
+any round can be reproduced on its own, whatever ran before it.
 
 A state is a per-node task count plus, for weighted tasks, one flat weight
 array grouped by node. A task's migration probability depends only on its
@@ -43,9 +45,6 @@ from .spectral import SpeedProfile
 
 MODE_UNIFORM = "uniform"
 MODE_WEIGHTED = "weighted"
-
-ALGORITHM1 = "algorithm1"
-ALGORITHM2 = "algorithm2"
 
 _INT_GUARD = 1 << 62
 
@@ -163,18 +162,19 @@ class LoadState:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Migration-protocol knobs. alpha=None resolves to 4*s_max at use time."""
+    """Migration-protocol knobs. alpha=None resolves to 4*s_max at use time.
+
+    The state's tasks choose the algorithm (unit: Algorithm 1, weighted:
+    Algorithm 2). printed_weighted_rule swaps Algorithm 2's definition-rule
+    probability for the rule as printed; it is for weighted tasks only, and
+    a round or moments pass on unit tasks rejects it (`check_printed_rule`).
+    """
 
     rng_seed: int
-    variant: str = ALGORITHM1
     alpha: Fraction | int | None = None
     printed_weighted_rule: bool = False
 
     def __post_init__(self):
-        if self.variant not in (ALGORITHM1, ALGORITHM2):
-            raise ConfigError(f"unknown protocol variant {self.variant!r}")
-        if self.printed_weighted_rule and self.variant != ALGORITHM2:
-            raise ConfigError("the printed weighted rule applies to algorithm2 only")
         if self.alpha is not None and self.alpha <= 0:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
@@ -285,21 +285,6 @@ def _per_task_probability_array(g, sp, state, params) -> tuple[np.ndarray, np.nd
     return np.divide(flow * ev.deg[ev.src], weights[ev.src], out=out, where=trig), trig
 
 
-def _edge_index(g: GraphTopology, i: int, j: int) -> int:
-    if not g.is_edge(i, j):
-        raise ConfigError(f"({i}, {j}) is not an edge of the graph")
-    ev = _edge_view(g)
-    return int(ev.ptr[i]) + g.neighbors[i].index(j)
-
-
-def expected_flow(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                  params: ProtocolParams, i: int, j: int) -> float:
-    """Expected task weight migrating over directed edge (i, j) this round."""
-    e = _edge_index(g, i, j)
-    flow, _ = _flow_array(g, sp, state, params)
-    return float(flow[e])
-
-
 def non_nash_edges(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> set:
     """Directed edges with positive expected flow: l_i - l_j > 1/s_j, exactly."""
     ev = _edge_view(g)
@@ -328,11 +313,10 @@ def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     return bool((lhs <= sp.inv_floats[ev.dst]).all())
 
 
-def check_variant(state: LoadState, params: ProtocolParams) -> None:
-    """Unit tasks run under algorithm1, weighted tasks under algorithm2."""
-    variant = ALGORITHM1 if state.weights is None else ALGORITHM2
-    if params.variant != variant:
-        raise ConfigError(f"{state.mode}-task states run under variant {variant}")
+def check_printed_rule(params: ProtocolParams, unit_tasks: bool) -> None:
+    """The printed rule is Algorithm 2's, so it applies to weighted tasks only."""
+    if params.printed_weighted_rule and unit_tasks:
+        raise ConfigError("the printed weighted rule applies to weighted tasks only")
 
 
 def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
@@ -348,7 +332,7 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     weighted tasks then which ones, a uniform choice of movers per node
     (`_mover_tasks`).
     """
-    check_variant(state, params)
+    check_printed_rule(params, state.weights is None)
     prob, trig = _per_task_probability_array(g, sp, state, params)
     if not trig.any():
         return state, 0

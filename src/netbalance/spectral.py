@@ -30,8 +30,11 @@ from .errors import ConfigError, EigensolverError
 from .graphs import GraphTopology, isoperimetric_number, ISO_BRUTE_FORCE_CAP
 from .rng import keyed_generator, STREAM_SPEEDS
 
-#: Default accuracy demanded from the dense symmetric eigensolver.
+#: Accuracy demanded from the dense symmetric eigensolver.
 EIGEN_TOL = 1e-10
+
+#: Slack with which `spectral_summary` checks each inequality in floats.
+BOUND_TOL = 1e-8
 
 #: Largest node count for which a dense Laplacian is built and solved: one
 #: n x n float64 matrix takes 8 n^2 bytes, 128 MiB at this limit, and the
@@ -86,6 +89,8 @@ class SpeedProfile:
     def __post_init__(self):
         if not self.speeds:
             raise ConfigError("speed profile must not be empty")
+        if not all(isinstance(s, Fraction) for s in self.speeds):
+            raise ConfigError("speeds must be exact Fractions (see from_rationals)")
         if any(s <= 0 for s in self.speeds):
             raise ConfigError("speeds must be positive")
         if min(self.speeds) != 1:
@@ -193,7 +198,7 @@ def laplacian(g: GraphTopology) -> np.ndarray:
     return mat
 
 
-def eigen_decomposition(mat: np.ndarray, tol: float = EIGEN_TOL) -> np.ndarray:
+def eigen_decomposition(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix (values only, no vectors).
 
     The one dense solve of the package. Deterministic (no RNG); rejects a
@@ -204,7 +209,7 @@ def eigen_decomposition(mat: np.ndarray, tol: float = EIGEN_TOL) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > tol * scale:
+    if float(np.abs(mat - mat.T).max()) > EIGEN_TOL * scale:
         raise ConfigError("matrix is not symmetric within tolerance")
     try:
         vals = np.linalg.eigvalsh(mat)
@@ -223,8 +228,7 @@ def _is_positive_definite(mat: np.ndarray) -> bool:
     return True
 
 
-def second_smallest_eigenvalue(mat: np.ndarray, null_vector=None,
-                               tol: float = EIGEN_TOL) -> float:
+def second_smallest_eigenvalue(mat: np.ndarray, null_vector=None) -> float:
     """Certified second-smallest eigenvalue of a positive semidefinite matrix.
 
     `null_vector` spans the matrix's known simple kernel (default: the constant
@@ -234,18 +238,18 @@ def second_smallest_eigenvalue(mat: np.ndarray, null_vector=None,
     above the Gershgorin bound of M, so that min eig(D) is the second
     eigenvalue of M: D - (v - delta)I must factor by Cholesky (every non-null
     eigenvalue exceeds v - delta) and D - (v + delta)I must not (one lies below
-    v + delta), with delta = tol * max(1, max|M|) * n. Either test going the
-    wrong way raises EigensolverError.
+    v + delta), with delta = EIGEN_TOL * max(1, max|M|) * n. Either test going
+    the wrong way raises EigensolverError.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ConfigError("need at least a 2x2 matrix")
     n = mat.shape[0]
-    value = float(eigen_decomposition(mat, tol)[1])
+    value = float(eigen_decomposition(mat)[1])
     u = np.full(n, 1.0) if null_vector is None else np.asarray(null_vector, dtype=float)
     u = u / np.linalg.norm(u)
     magnitudes = np.abs(mat)
-    delta = tol * max(1.0, float(magnitudes.max())) * n
+    delta = EIGEN_TOL * max(1.0, float(magnitudes.max())) * n
     shift = 2.0 * float(magnitudes.sum(axis=1).max()) + 1.0
     deflated = np.outer(u, u)
     deflated *= shift
@@ -300,7 +304,7 @@ def mu2_of(g: GraphTopology, sp: SpeedProfile) -> float:
 
 
 class BoundCheck(NamedTuple):
-    """One inequality instance lhs <= rhs, evaluated with slack tol."""
+    """One inequality instance lhs <= rhs, evaluated with slack BOUND_TOL."""
 
     name: str
     lhs: float
@@ -312,7 +316,6 @@ class BoundCheck(NamedTuple):
 class SpectralSummary:
     lambda2: float
     mu2: float
-    eigen_tolerance: float
     bound_report: tuple[BoundCheck, ...]
 
     @property
@@ -320,13 +323,12 @@ class SpectralSummary:
         return all(b.holds for b in self.bound_report)
 
 
-def spectral_summary(g: GraphTopology, sp: SpeedProfile, tol: float = 1e-8,
-                     iso_cap: int = ISO_BRUTE_FORCE_CAP) -> SpectralSummary:
+def spectral_summary(g: GraphTopology, sp: SpeedProfile) -> SpectralSummary:
     """lambda2, mu2 and every spectral inequality the analysis relies on.
 
     The Cheeger rows appear only when the brute-force isoperimetric number is
-    feasible (n <= iso_cap). A failing row signals an implementation bug, not
-    a data condition.
+    feasible (n <= ISO_BRUTE_FORCE_CAP). A failing row signals an
+    implementation bug, not a data condition.
     """
     if sp.n != g.node_count:
         raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
@@ -337,7 +339,7 @@ def spectral_summary(g: GraphTopology, sp: SpeedProfile, tol: float = 1e-8,
     s_min = float(sp.s_min)
 
     def check(name, lhs, rhs):
-        return BoundCheck(name, float(lhs), float(rhs), bool(lhs <= rhs + tol))
+        return BoundCheck(name, float(lhs), float(rhs), bool(lhs <= rhs + BOUND_TOL))
 
     report = [
         check("diameter_lower", 4.0 / (n * lam2), float(g.diameter)),
@@ -346,9 +348,8 @@ def spectral_summary(g: GraphTopology, sp: SpeedProfile, tol: float = 1e-8,
         check("interlacing_lower", lam2 / s_max, mu2),
         check("interlacing_upper", mu2, lam2 / s_min),
     ]
-    if n <= iso_cap:
-        iso = float(isoperimetric_number(g, cap=iso_cap))
+    if n <= ISO_BRUTE_FORCE_CAP:
+        iso = float(isoperimetric_number(g))
         report.insert(3, check("cheeger_lower", iso**2 / (2 * g.max_degree), lam2))
         report.insert(4, check("cheeger_upper", lam2, 2 * iso))
-    return SpectralSummary(lambda2=lam2, mu2=mu2, eigen_tolerance=tol,
-                           bound_report=tuple(report))
+    return SpectralSummary(lambda2=lam2, mu2=mu2, bound_report=tuple(report))

@@ -38,6 +38,11 @@ def isoperimetric_oracle(g):
     return best
 
 
+def edge_index(g, i, j):
+    """Position of directed edge (i, j) in per-edge arrays: by source node, then neighbor."""
+    return sum(g.degrees[:i]) + g.neighbors[i].index(j)
+
+
 def lambda2_closed_form(family, *, n=None, dim=None, rows=None, cols=None):
     """Second-smallest Laplacian eigenvalue from the known family spectra."""
     if family == "complete":

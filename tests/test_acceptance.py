@@ -25,7 +25,6 @@ from netbalance.potentials import (
     psi0_value,
 )
 from netbalance.protocol import (
-    ALGORITHM2,
     LoadState,
     ProtocolParams,
     all_on_one_state,
@@ -128,7 +127,7 @@ def test_criterion_4_oracle_monte_carlo_agreement():
                                            Fraction(4))
     assert closed == Fraction(7, 16) and enum == Fraction(7, 16)
 
-    cases = sorted(default_corpus(modes=("uniform",)),
+    cases = sorted((c for c in default_corpus() if c.state.weights is None),
                    key=lambda c: (c.graph.node_count, c.name))[:10]
     params = ProtocolParams(rng_seed=ACCEPT_SEED)
     n_rounds = 100_000
@@ -291,11 +290,11 @@ def test_criterion_10_weighted_protocol():
         w = 1.0 - float(gen.random())
         weights.append(w)
         total += w
-    gamma = gamma_factor(g, sp, weighted=True)
+    gamma = gamma_factor(g, sp)
     cap = math.ceil(10 * 2 * gamma * math.log(total * n / n))
     summary = measure_convergence(
         g, sp, weighted_all_on_one(weights, n),
-        ProtocolParams(rng_seed=derive_seed(ACCEPT_SEED, 10), variant=ALGORITHM2),
+        ProtocolParams(rng_seed=derive_seed(ACCEPT_SEED, 10)),
         StopRule("exact-ne"), trials=50, round_cap=cap)
     elapsed = time.time() - t0
     worst = max(r.rounds_to_exact_ne or cap for r in summary.results)

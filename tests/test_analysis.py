@@ -16,7 +16,6 @@ from netbalance.corpus import corpus_task_count, default_corpus
 from netbalance.errors import ConfigError
 from netbalance.graphs import make_graph
 from netbalance.protocol import (
-    ALGORITHM2,
     LoadState,
     ProtocolParams,
     all_on_one_state,
@@ -95,7 +94,7 @@ def test_weighted_threshold_stop_allowed():
     ws = random_task_weights(30, 3)
     res = run_trial(make_graph("cycle", n=4), SpeedProfile.uniform(4),
                     weighted_all_on_one(ws, 4),
-                    ProtocolParams(rng_seed=12, variant=ALGORITHM2),
+                    ProtocolParams(rng_seed=12),
                     StopRule("exact-ne"), round_cap=20000)
     assert not res.truncated and res.rounds_to_exact_ne is not None
 

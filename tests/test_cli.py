@@ -201,6 +201,35 @@ def test_cmd_verify_rejects_alpha_flag(tmp_path):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cmd_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
+    # A NaN or infinite slack turns identity checks into NaN and a negative
+    # one fails exact checks: a usage error, not a lemma failure.
+    report = tmp_path / "report.json"
+    assert main(["verify", f"--tol={tol}", "--report", str(report)]) == EXIT_CONFIG
+    assert not report.exists()
+    assert "tol must be" in capsys.readouterr().err
+
+
+def test_printed_rule_with_unit_tasks_is_config_error(tmp_path):
+    # The tasks pick the algorithm and the printed rule is the weighted one's,
+    # so a unit-task config with it fails before any round or output.
+    text = BASIC_CONFIG.replace("run.stop = exact-ne", "run.stop = fixed-rounds\nrun.rounds = 0") \
+        + "protocol.printed_rule = true\n"
+    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    weighted = text.replace("explicit-counts", "explicit-weights").replace(
+        "tasks.counts = 4,0", "tasks.weights = 0:1.0,0.9,0.8")
+    assert main(["run", str(write_config(tmp_path, weighted, name="w.cfg"))]) == EXIT_OK
+
+
+def test_protocol_variant_key_is_unknown(tmp_path, capsys):
+    # The tasks decide the algorithm; a config cannot restate it.
+    text = BASIC_CONFIG + "protocol.variant = algorithm1\n"
+    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
+    assert "unknown key 'protocol.variant'" in capsys.readouterr().err
+
+
 def test_exit_codes_distinct():
     assert EXIT_OK == 0 and EXIT_VERIFICATION == 1 and EXIT_CONFIG == 2
 

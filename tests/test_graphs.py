@@ -10,9 +10,9 @@ from netbalance.graphs import (
     bfs_distances,
     isoperimetric_number,
     make_graph,
-    pair_degree,
     parse_edge_list,
 )
+from netbalance.protocol import _edge_view
 
 import helpers
 
@@ -60,7 +60,7 @@ def test_degree_sum_and_connectivity(family, kwargs):
     assert sum(g.degrees) == 2 * g.edge_count
     assert g.max_degree == max(g.degrees)
     for start in range(g.node_count):
-        assert min(bfs_distances(g, start)) >= 0
+        assert min(bfs_distances(g.neighbors, start)) >= 0
 
 
 @pytest.mark.parametrize("family,kwargs", [
@@ -86,14 +86,20 @@ def test_diameter_closed_forms():
 
 
 def test_pair_degree():
+    # d_ij = max(deg(i), deg(j)) per directed edge, as the round kernel reads it.
+    def pair_degree(g, i, j):
+        return int(_edge_view(g).dij[helpers.edge_index(g, i, j)])
+
     k4 = make_graph("complete", n=4)
     assert pair_degree(k4, 0, 3) == 3
     path3 = make_graph("path", n=3)
-    assert pair_degree(path3, 0, 1) == 2
+    assert pair_degree(path3, 0, 1) == pair_degree(path3, 1, 0) == 2
     star = make_graph("explicit", n=4, edges=[(0, 1), (0, 2), (0, 3)])
-    assert pair_degree(star, 0, 2) == 3
-    with pytest.raises(ConfigError):
-        pair_degree(path3, 0, 2)
+    assert pair_degree(star, 0, 2) == pair_degree(star, 2, 0) == 3
+    for g in (k4, path3, star):
+        assert len(_edge_view(g).dij) == 2 * g.edge_count
+        for i, j in g.directed_edges():
+            assert pair_degree(g, i, j) == max(g.degrees[i], g.degrees[j])
 
 
 def test_isoperimetric_examples():

@@ -15,7 +15,6 @@ from netbalance.potentials import (
     exact_expected_psi1_drop,
     exact_variance_sum,
     gamma_factor,
-    lambda_term,
     node_change_moments,
     phi1_drop_routes,
     psi0_value,
@@ -23,13 +22,13 @@ from netbalance.potentials import (
     variance_bound,
 )
 from netbalance.protocol import (
-    ALGORITHM2,
     LoadState,
     ProtocolParams,
     random_task_weights,
     step_round_totals,
     weighted_all_on_one,
 )
+from netbalance.protocol import _flow_array
 from netbalance.spectral import SpeedProfile
 
 import helpers
@@ -59,13 +58,26 @@ def test_snapshot_balanced_with_speeds():
     assert snap.l_delta == pytest.approx(0.0, abs=1e-12)
 
 
+def lambda_term(g, sp, st, i, j, r):
+    """Lambda^r_ij = (2*alpha - 2) * d_ij * (1/s_i + 1/s_j) * f_ij + r/s_i - r/s_j.
+
+    f_ij is read from the kernel's flow array at PARAMS' alpha = 4*s_max.
+    """
+    flow, _ = _flow_array(g, sp, st, PARAMS)
+    alpha = 4.0 * float(sp.s_max)
+    dij = max(g.degrees[i], g.degrees[j])
+    inv_i, inv_j = 1.0 / float(sp.speeds[i]), 1.0 / float(sp.speeds[j])
+    f = flow[helpers.edge_index(g, i, j)]
+    return (2.0 * alpha - 2.0) * dij * (inv_i + inv_j) * f + r * inv_i - r * inv_j
+
+
 def test_lambda_term_examples():
     nash = LoadState.uniform((1, 1))
-    assert lambda_term(K2, UNI2, nash, PARAMS, 0, 1, 0) == 0.0
+    assert lambda_term(K2, UNI2, nash, 0, 1, 0) == 0.0
     st = LoadState.uniform((2, 0))
     # alpha=4, f=1/4: (2*4-2)*1*2*(1/4) = 3; equal speeds cancel the r terms.
-    assert lambda_term(K2, UNI2, st, PARAMS, 0, 1, 0) == pytest.approx(3.0, abs=1e-12)
-    assert lambda_term(K2, UNI2, st, PARAMS, 0, 1, 1) == pytest.approx(3.0, abs=1e-12)
+    assert lambda_term(K2, UNI2, st, 0, 1, 0) == pytest.approx(3.0, abs=1e-12)
+    assert lambda_term(K2, UNI2, st, 0, 1, 1) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_lambda_term_algebraic_identity():
@@ -80,7 +92,7 @@ def test_lambda_term_algebraic_identity():
         for i, j in non_nash_edges(C4, sp, st):
             expect = (2 - 2 / alpha) * (loads[i] - loads[j]) \
                 + 1 / float(sp.speeds[i]) - 1 / float(sp.speeds[j])
-            got = lambda_term(C4, sp, st, PARAMS, i, j, 1)
+            got = lambda_term(C4, sp, st, i, j, 1)
             assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -216,7 +228,7 @@ def test_weighted_oracle_against_monte_carlo():
     ws = random_task_weights(12, 31)
     st = weighted_all_on_one(ws, 4)
     sp = SpeedProfile.from_rationals([1, 2, 1, 2])
-    pp = ProtocolParams(rng_seed=99, variant=ALGORITHM2)
+    pp = ProtocolParams(rng_seed=99)
     exact = exact_expected_psi0_drop(node_change_moments(C4, sp, st, pp))
     base = psi0_value(sp, st)
     n = 20_000
@@ -229,9 +241,9 @@ def test_weighted_oracle_against_monte_carlo():
 
 
 
-def test_moments_reject_variant_mode_mismatch():
-    with pytest.raises(ConfigError):
-        node_change_moments(K2, UNI2, LoadState.uniform((2, 0)),
-                            ProtocolParams(rng_seed=0, variant=ALGORITHM2))
-    with pytest.raises(ConfigError):
-        node_change_moments(K2, UNI2, weighted_all_on_one([0.5, 0.5], 2), PARAMS)
+def test_moments_reject_printed_rule_on_unit_tasks():
+    printed = ProtocolParams(rng_seed=0, printed_weighted_rule=True)
+    with pytest.raises(ConfigError, match="weighted tasks only"):
+        node_change_moments(K2, UNI2, LoadState.uniform((2, 0)), printed)
+    moments = node_change_moments(K2, UNI2, weighted_all_on_one([1.0, 0.9, 0.8], 2), printed)
+    assert moments.mu[1] > 0

@@ -19,14 +19,12 @@ from netbalance.potentials import (
     node_change_moments,
 )
 from netbalance.protocol import (
-    ALGORITHM1,
-    ALGORITHM2,
     LoadState,
     ProtocolParams,
     non_nash_edges,
     step_round_totals,
 )
-from netbalance.protocol import _edge_index, _per_task_probability_array
+from netbalance.protocol import _per_task_probability_array
 from netbalance.rng import STREAM_ROUND, generator_from_prefix, key_prefix
 from netbalance.spectral import SpeedProfile
 
@@ -56,16 +54,11 @@ def instances(draw, modes=("uniform", "weighted"), max_count=12):
     return g, sp, state
 
 
-def protocol_params(state, seed=0, **kw):
-    variant = ALGORITHM1 if state.weights is None else ALGORITHM2
-    return ProtocolParams(rng_seed=seed, variant=variant, **kw)
-
-
 @PROPERTY
 @given(instances(), seeds, rounds)
 def test_step_conserves_tasks(inst, seed, r):
     g, sp, state = inst
-    new, moves = step_round_totals(g, sp, state, protocol_params(state, seed), r)
+    new, moves = step_round_totals(g, sp, state, ProtocolParams(rng_seed=seed), r)
     assert new.n == state.n and (new.counts >= 0).all()
     assert new.task_count == state.task_count
     assert np.abs(new.counts - state.counts).sum() <= 2 * moves <= 2 * state.task_count
@@ -80,7 +73,7 @@ def test_step_conserves_tasks(inst, seed, r):
 @given(instances(), seeds, rounds)
 def test_step_is_determined_by_its_key(inst, seed, r):
     g, sp, state = inst
-    params = protocol_params(state, seed)
+    params = ProtocolParams(rng_seed=seed)
     first = step_round_totals(g, sp, state, params, r)
     # An equal state built afresh draws the same round.
     rebuilt = LoadState.from_payload(state.to_payload())
@@ -108,7 +101,7 @@ def reference_weighted_step(g, sp, state, params, round_index):
     rows = {}
     for i in sorted(active, key=lambda i: (g.degrees[i], i)):
         d = g.degrees[i]
-        move_p = [min(float(prob[_edge_index(g, i, j)]), 1.0) / d for j in g.neighbors[i]]
+        move_p = [min(float(prob[helpers.edge_index(g, i, j)]), 1.0) / d for j in g.neighbors[i]]
         rows[i] = gen.multinomial(len(tasks[i]), move_p + [max(1.0 - sum(move_p), 0.0)])
     movers = [i for i in sorted(rows) for _ in range(sum(rows[i][:-1]))]
     if not movers:
@@ -148,8 +141,8 @@ def reference_weighted_step(g, sp, state, params, round_index):
 def test_weighted_step_matches_loop_reference(inst, seed, r, printed, alpha_factor):
     # Far below the alpha floor most tasks move, so slot draws repeat often.
     g, sp, state = inst
-    params = protocol_params(state, seed, alpha=4 * sp.s_max * alpha_factor,
-                             printed_weighted_rule=printed)
+    params = ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor,
+                            printed_weighted_rule=printed)
     assert step_round_totals(g, sp, state, params, r) == \
         reference_weighted_step(g, sp, state, params, r)
 
@@ -159,11 +152,11 @@ def test_weighted_step_matches_loop_reference(inst, seed, r, printed, alpha_fact
 def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed):
     g, sp, state = inst
     printed = printed and state.weights is not None
-    params = protocol_params(state, alpha=4 * sp.s_max * factor,
-                             printed_weighted_rule=printed)
+    params = ProtocolParams(rng_seed=0, alpha=4 * sp.s_max * factor,
+                            printed_weighted_rule=printed)
     prob, _ = _per_task_probability_array(g, sp, state, params)
     for i, j in g.directed_edges():
-        assert prob[_edge_index(g, i, j)] <= 1 / 8
+        assert prob[helpers.edge_index(g, i, j)] <= 1 / 8
 
 
 DYADIC_SPEEDS = (1, 2, 4)
@@ -186,9 +179,9 @@ def test_unit_weights_draw_the_unit_task_counts(inst, alpha_factor, seed, r):
     weighted = LoadState.weighted([[1.0] * c for c in counts])
     alpha = 4 * sp.s_max * alpha_factor
     new_unit, unit_moves = step_round_totals(
-        g, sp, unit, protocol_params(unit, seed, alpha=alpha), r)
+        g, sp, unit, ProtocolParams(rng_seed=seed, alpha=alpha), r)
     new_weighted, weighted_moves = step_round_totals(
-        g, sp, weighted, protocol_params(weighted, seed, alpha=alpha), r)
+        g, sp, weighted, ProtocolParams(rng_seed=seed, alpha=alpha), r)
     assert np.array_equal(new_weighted.counts, new_unit.counts)
     assert weighted_moves == unit_moves
 
@@ -198,13 +191,13 @@ def test_unit_weights_draw_the_unit_task_counts(inst, alpha_factor, seed, r):
 def test_exact_oracle_matches_enumeration(inst):
     g, sp, state = inst
     alpha = 4 * sp.s_max
-    moments = node_change_moments(g, sp, state, protocol_params(state, alpha=alpha))
+    moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=alpha))
     assert exact_expected_psi0_drop(moments) == helpers.enum_expected_psi0_drop(
         g, list(sp.speeds), state.counts.tolist(), alpha)
     # Exact all the way: Fractions over Python ints, never numpy scalars or
     # floats, also below 4*s_max, where probabilities are clamped to 1.
     for a in (alpha, sp.s_max / 8):
-        moments = node_change_moments(g, sp, state, protocol_params(state, alpha=a))
+        moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=a))
         for x in (exact_expected_psi0_drop(moments), exact_expected_psi1_drop(moments),
                   exact_variance_sum(moments), *moments.mu, *moments.var,
                   *moments.deviations, *moments.inv):
@@ -249,7 +242,7 @@ def test_weighted_oracle_matches_enumeration(inst, printed):
     assume(not printed or all(abs(w[i] - w[j]) > rounding * (w[i] + w[j])
                               for i, j in g.directed_edges()
                               if loads[i] - loads[j] > 1 / sp.speeds[j]))
-    params = protocol_params(state, printed_weighted_rule=printed)
+    params = ProtocolParams(rng_seed=0, printed_weighted_rule=printed)
     moments = node_change_moments(g, sp, state, params)
     drop, var_sum = helpers.enum_weighted_round(
         g, list(sp.speeds), tasks, 4 * sp.s_max, printed)

@@ -9,13 +9,11 @@ import pytest
 from netbalance.errors import ConfigError
 from netbalance.graphs import make_graph
 from netbalance.protocol import (
-    ALGORITHM2,
     LoadState,
     ProtocolParams,
     all_on_one_state,
     default_alpha,
     exact_ne_alpha,
-    expected_flow,
     is_approx_nash,
     is_nash,
     near_balanced_state,
@@ -27,8 +25,10 @@ from netbalance.protocol import (
     weighted_near_balanced,
     weighted_random_placement,
 )
-from netbalance.protocol import _edge_index, _per_task_probability_array
+from netbalance.protocol import _flow_array, _per_task_probability_array
 from netbalance.spectral import SpeedProfile
+
+import helpers
 
 K2 = make_graph("complete", n=2)
 C4 = make_graph("cycle", n=4)
@@ -42,7 +42,13 @@ def params(seed=1, **kw):
 def migration_probability(g, sp, st, pp, i, j):
     """p_e of directed edge (i, j), read from the kernel's per-task probability array."""
     prob, _ = _per_task_probability_array(g, sp, st, pp)
-    return float(prob[_edge_index(g, i, j)])
+    return float(prob[helpers.edge_index(g, i, j)])
+
+
+def expected_flow(g, sp, st, pp, i, j):
+    """f_e, the expected weight moving over directed edge (i, j), from the flow array."""
+    flow, _ = _flow_array(g, sp, st, pp)
+    return float(flow[helpers.edge_index(g, i, j)])
 
 
 def test_migration_probability_hand_examples():
@@ -175,7 +181,7 @@ def test_step_round_conserves_weight():
     wst = weighted_all_on_one(ws, 4)
     total = wst.total_weight()
     for r in range(50):
-        wst, _ = step_round_totals(C4, sp, wst, params(seed=4, variant=ALGORITHM2), r)
+        wst, _ = step_round_totals(C4, sp, wst, params(seed=4), r)
         assert abs(wst.total_weight() - total) <= 1e-12 * total
     # Tasks move as indivisible units: the weight multiset is preserved.
     final = sorted(wst.weights)
@@ -189,7 +195,7 @@ def test_weighted_node_weights_match_task_lists_after_many_rounds():
     # no error carried over from earlier rounds.
     sp = SpeedProfile.uniform(4)
     st = weighted_all_on_one(random_task_weights(40, 7), 4)
-    pp = params(seed=3, variant=ALGORITHM2, alpha=Fraction(1, 2))
+    pp = params(seed=3, alpha=Fraction(1, 2))
     for r in range(3000):
         st, _ = step_round_totals(C4, sp, st, pp, r)
     for i, node in enumerate(st.to_payload()["tasks"]):
@@ -222,24 +228,28 @@ def test_step_round_mc_mean_matches_binomial():
     assert abs(mean - 0.25) <= 3 * se
 
 
-def test_variant_mode_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        step_round_totals(K2, UNI2, LoadState.uniform((2, 0)), params(variant=ALGORITHM2), 0)
-    wst = weighted_all_on_one([0.5, 0.5], 2)
-    with pytest.raises(ConfigError):
-        step_round_totals(K2, UNI2, wst, params(), 0)
+def test_printed_rule_on_unit_tasks_rejected():
+    # Unit tasks run Algorithm 1, so Algorithm 2's printed rule is refused,
+    # at equilibrium too, before any draw.
+    for counts in ((2, 0), (1, 1)):
+        with pytest.raises(ConfigError, match="weighted tasks only"):
+            step_round_totals(K2, UNI2, LoadState.uniform(counts),
+                              params(printed_weighted_rule=True), 0)
+    wst = weighted_all_on_one([1.0, 0.9, 0.8], 2)
+    new, _ = step_round_totals(K2, UNI2, wst, params(printed_weighted_rule=True), 0)
+    assert new.task_count == 3
 
 
 def test_printed_weighted_rule_matches_def_rule_for_uniform_speeds():
     ws = [0.5, 0.8, 0.3, 0.9, 0.2]
     st = weighted_all_on_one(ws, 2)
-    p_def = params(seed=5, variant=ALGORITHM2)
-    p_printed = params(seed=5, variant=ALGORITHM2, printed_weighted_rule=True)
+    p_def = params(seed=5)
+    p_printed = params(seed=5, printed_weighted_rule=True)
     a = migration_probability(K2, UNI2, st, p_def, 0, 1)
     b = migration_probability(K2, UNI2, st, p_printed, 0, 1)
     assert a == pytest.approx(b, rel=1e-12)
     with pytest.raises(ConfigError):
-        ProtocolParams(rng_seed=0, printed_weighted_rule=True)
+        step_round_totals(K2, UNI2, LoadState.uniform((5, 0)), p_printed, 0)
 
 
 def test_weighted_is_nash_is_threshold_condition():

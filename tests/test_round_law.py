@@ -25,8 +25,7 @@ import pytest
 from scipy.stats import chi2
 
 from netbalance.graphs import make_graph
-from netbalance.protocol import ALGORITHM1, ALGORITHM2, LoadState, ProtocolParams, \
-    step_round_totals
+from netbalance.protocol import LoadState, ProtocolParams, step_round_totals
 from netbalance.spectral import SpeedProfile
 
 import helpers
@@ -89,14 +88,14 @@ def test_one_round_law(case):
     alpha = sp.s_max
     if rule is None:
         state = LoadState.uniform(tasks)
-        params = ProtocolParams(rng_seed=SEED, variant=ALGORITHM1, alpha=alpha)
+        params = ProtocolParams(rng_seed=SEED, alpha=alpha)
         law = helpers.uniform_round_law(g, list(sp.speeds), list(tasks), alpha)
 
         def outcome(new):
             return tuple(new.counts.tolist())
     else:
         state = LoadState.weighted(tasks)
-        params = ProtocolParams(rng_seed=SEED, variant=ALGORITHM2, alpha=alpha,
+        params = ProtocolParams(rng_seed=SEED, alpha=alpha,
                                 printed_weighted_rule=rule == "printed")
         law = helpers.weighted_round_law(g, list(sp.speeds), tasks, alpha,
                                          rule == "printed")

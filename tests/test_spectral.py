@@ -223,6 +223,15 @@ def test_granularity_rejects_floats():
         granularity_of([1.5, 2.0])
 
 
+def test_speed_profile_takes_only_exact_speeds():
+    # A weighted round reads only the float inverse speeds, so float speeds
+    # would run unnoticed; the type itself refuses anything but a Fraction.
+    for speeds in ((1.0, 2.5), (Fraction(1), 2.5), (Fraction(1), 2)):
+        with pytest.raises(ConfigError, match="Fraction"):
+            SpeedProfile(speeds)
+    assert SpeedProfile((Fraction(1), Fraction(5, 2))).granularity == Fraction(1, 2)
+
+
 def test_speed_profile_normalization_and_means():
     sp = SpeedProfile.from_rationals([2, 3, 4])
     assert sp.s_min == 1 and sp.speeds[0] == 1
@@ -256,9 +265,9 @@ def test_certificate_rejects_wrong_eigenvalue(monkeypatch, capsys, wrong_index):
     assert vals[1] - vals[0] > 0.1 and vals[2] - vals[1] > 0.1
     solve = spectral.eigen_decomposition
 
-    def wrong(mat, tol=spectral.EIGEN_TOL):
+    def wrong(mat):
         # Put vals[wrong_index] where the caller reads the second eigenvalue.
-        got = solve(mat, tol)
+        got = solve(mat)
         return np.concatenate([got[:1], got]) if wrong_index == 0 else np.delete(got, 1)
 
     monkeypatch.setattr(spectral, "eigen_decomposition", wrong)
