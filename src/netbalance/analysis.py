@@ -3,13 +3,17 @@
 A trial executes rounds until a stop rule fires (or a round cap truncates it)
 and records every hitting time it encounters on the way: the first round with
 psi0 at or below the critical threshold, the first epsilon-approximate
-equilibrium, and the first exact equilibrium. Trials derive their seeds from
-a master seed, so a whole experiment is reproducible bit for bit.
+equilibrium, and the first exact equilibrium. The trials of an experiment
+run as the rows of one stacked state, one round of every row per kernel
+call; round r of every row draws from one stream, keyed by a seed derived
+from the master seed and r, rows in order, so a whole experiment is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +49,8 @@ from .protocol import (
     exact_ne_alpha,
     is_approx_nash,
     is_nash,
-    step_round_totals,
+    round_kernel,
+    step_round_totals,  # noqa: F401 - a perfbench tracer target; trials step via round_kernel
 )
 from .rng import STREAM_TRIAL, derive_seed
 from .spectral import SpeedProfile, lambda2_of
@@ -88,77 +93,111 @@ TRACE_HEADER = ("round", "psi0", "psi1", "l_delta", "max_load", "min_load", "mov
 
 def run_trial(g: GraphTopology, sp: SpeedProfile, init_state: LoadState,
               params: ProtocolParams, stop: StopRule, round_cap: int,
-              *, psi_threshold: float | None = None, approx_eps: float | None = None,
-              collect_trace: bool = False) -> TrialResult:
+              **trial_kwargs) -> TrialResult:
     """Run one trial until `stop` fires or `round_cap` rounds have executed.
 
-    psi_threshold defaults to 4*psi_c when any caller needs it (the
-    psi-threshold stop, or hitting-time tracking). approx_eps lets callers
-    track epsilon-equilibrium hits under a different stop rule.
+    The one-row case of `_run_rows`, with the round stream keyed by
+    params.rng_seed.
+    """
+    return _run_rows(g, sp, LoadState.stack([init_state]), params, stop, round_cap,
+                     **trial_kwargs)[0]
+
+
+def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
+              params: ProtocolParams, stop: StopRule, round_cap: int,
+              *, psi_threshold: float | None = None, approx_eps: float | None = None,
+              collect_trace: bool = False) -> list[TrialResult]:
+    """Run every row of the stack `state` as one trial, all rows advancing together.
+
+    Each round is one kernel call for every row still running, drawing from
+    the one stream keyed by (params.rng_seed, round), rows in order. A row
+    stops when `stop` fires for it or after `round_cap` rounds (truncated);
+    from then on its triggers are masked off, so it draws nothing and never
+    changes again. Hits, rounds, trace and final snapshot are per row.
+
+    psi_threshold defaults to 4*psi_c. approx_eps lets callers track
+    epsilon-equilibrium hits under a different stop rule.
     """
     if round_cap < 1:
         raise ConfigError(f"round_cap must be >= 1, got {round_cap}")
+    if state.n != g.node_count:
+        raise ConfigError("graph and state sizes do not match")
     eps = stop.eps if stop.kind == "approx-ne" else approx_eps
     if psi_threshold is None:
         psi_threshold = 4.0 * critical_value(g, sp)
+    kernel = round_kernel(g, sp, params)
+    trials = len(state.counts)
+    none = -1
+    hit_psi = np.full(trials, none)
+    hit_approx = np.full(trials, none)
+    hit_exact = np.full(trials, none)
+    running = np.ones(trials, dtype=bool)
+    executed = np.zeros(trials, dtype=np.int64)
+    moves = np.zeros(trials, dtype=np.int64)
+    traces = [[] for _ in range(trials)] if collect_trace else None
+    stop_hits = {"psi-threshold": hit_psi, "approx-ne": hit_approx,
+                 "exact-ne": hit_exact}.get(stop.kind)     # None: fixed-rounds
 
-    state = init_state
-    hit_psi: int | None = None
-    hit_approx: int | None = None
-    hit_exact: int | None = None
-    trace = [] if collect_trace else None
-    moves_in_round = 0
-    rounds_done = 0
-    truncated = False
-
-    def observe(round_index: int) -> bool:
-        """Record hits at `round_index`; True when the stop rule is satisfied."""
-        nonlocal hit_psi, hit_approx, hit_exact
-        if hit_psi is None and psi0_value(sp, state) <= psi_threshold:
-            hit_psi = round_index
-        nash_now = None
-        if hit_exact is None:
-            nash_now = is_nash(g, sp, state)
-            if nash_now:
-                hit_exact = round_index
-        if eps is not None and hit_approx is None:
+    def observe(round_index: int) -> np.ndarray:
+        """Record hits at `round_index`, retire the rows whose stop fired,
+        and return the state's trigger mask."""
+        trig = kernel.triggers(state)
+        open_psi = running & (hit_psi == none)
+        if open_psi.any():
+            hit_psi[open_psi & (psi0_value(sp, state) <= psi_threshold)] = round_index
+        hit_exact[running & (hit_exact == none) & ~trig.any(axis=1)] = round_index
+        open_approx = running & (hit_approx == none)
+        if eps is not None and open_approx.any():
             # An exact equilibrium is in particular an approximate one.
-            if hit_exact == round_index or is_approx_nash(g, sp, state, eps):
-                hit_approx = round_index
+            approx = (hit_exact == round_index) | is_approx_nash(g, sp, state, eps)
+            hit_approx[open_approx & approx] = round_index
         if collect_trace:
             snap = snapshot(g, sp, state, round_index)
             loads = state.loads(sp)
-            trace.append((round_index, snap.psi0, snap.psi1, snap.l_delta,
-                          float(loads.max()), float(loads.min()), moves_in_round))
-        if stop.kind == "psi-threshold":
-            return hit_psi is not None
-        if stop.kind == "approx-ne":
-            return hit_approx is not None
-        if stop.kind == "exact-ne":
-            return hit_exact is not None
-        return round_index >= stop.rounds  # fixed-rounds
+            columns = zip(snap.psi0.tolist(), snap.psi1.tolist(), snap.l_delta.tolist(),
+                          loads.max(axis=1).tolist(), loads.min(axis=1).tolist(),
+                          moves.tolist())
+            for t, row in zip(np.flatnonzero(running).tolist(),
+                              itertools.compress(columns, running)):
+                traces[t].append((round_index, *row))
+        if stop_hits is not None:
+            running[stop_hits != none] = False
+        elif round_index >= stop.rounds:
+            running[:] = False
+        return trig
 
-    stopped = observe(0)
-    while not stopped:
-        if rounds_done >= round_cap:
-            truncated = True
-            break
-        state, moves_in_round = step_round_totals(g, sp, state, params, rounds_done)
+    trig = observe(0)
+    rounds_done = 0
+    while running.any() and rounds_done < round_cap:
+        trig[~running] = False
+        state, moves = kernel.step(state, rounds_done, trig)
         rounds_done += 1
-        stopped = observe(rounds_done)
+        executed[running] = rounds_done
+        trig = observe(rounds_done)
+    truncated = running
 
-    return TrialResult(
-        trial_id=0,
-        seed=params.rng_seed,
-        rounds_to_psi_threshold=hit_psi,
-        rounds_to_approx_ne=hit_approx,
-        rounds_to_exact_ne=hit_exact,
-        final_snapshot=snapshot(g, sp, state, rounds_done),
-        truncated=truncated,
-        rounds_executed=rounds_done,
-        final_state=state,
-        trace=tuple(trace) if collect_trace else None,
-    )
+    final = snapshot(g, sp, state, executed)
+    values = [final.phi0.tolist(), final.phi1.tolist(), final.psi0.tolist(),
+              final.psi1.tolist(), final.l_delta.tolist()]
+
+    def hit(rounds) -> int | None:
+        return None if rounds == none else int(rounds)
+
+    return [
+        TrialResult(
+            trial_id=t,
+            seed=params.rng_seed,
+            rounds_to_psi_threshold=hit(hit_psi[t]),
+            rounds_to_approx_ne=hit(hit_approx[t]),
+            rounds_to_exact_ne=hit(hit_exact[t]),
+            final_snapshot=PotentialSnapshot(int(executed[t]), *(v[t] for v in values)),
+            truncated=bool(truncated[t]),
+            rounds_executed=int(executed[t]),
+            final_state=row,
+            trace=tuple(traces[t]) if collect_trace else None,
+        )
+        for t, row in enumerate(state.rows())
+    ]
 
 
 def hitting_rounds(result: TrialResult, stop: StopRule) -> int | None:
@@ -186,21 +225,23 @@ class ConvergenceSummary:
 def measure_convergence(g: GraphTopology, sp: SpeedProfile, init_spec,
                         params: ProtocolParams, stop: StopRule, trials: int,
                         round_cap: int, **trial_kwargs) -> ConvergenceSummary:
-    """Aggregate run_trial over independent per-trial seeds.
+    """Run `trials` trials of one instance as the rows of one stack.
 
     init_spec is either a LoadState used for every trial or a callable
-    trial_index -> LoadState. params.rng_seed acts as the master seed; trial t
-    runs under the derived sub-seed (master, STREAM_TRIAL, t).
+    trial_index -> LoadState. params.rng_seed acts as the master seed. All
+    trials draw from one round stream, keyed by the first trial's derived
+    seed (master, STREAM_TRIAL, 0), rows in order: a 1-trial run draws what
+    `run_trial` draws under that seed, and trial t's path depends on how
+    many trials run beside it.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    results = []
-    for t in range(trials):
-        init = init_spec(t) if callable(init_spec) else init_spec
-        sub = dataclasses.replace(
-            params, rng_seed=derive_seed(params.rng_seed, STREAM_TRIAL, t))
-        res = run_trial(g, sp, init, sub, stop, round_cap, **trial_kwargs)
-        results.append(dataclasses.replace(res, trial_id=t))
+    stream = dataclasses.replace(
+        params, rng_seed=derive_seed(params.rng_seed, STREAM_TRIAL, 0))
+    # Handed over without a name, so the initial stack is freed once stepped.
+    results = _run_rows(g, sp, LoadState.stack(
+        init_spec(t) if callable(init_spec) else init_spec for t in range(trials)),
+        stream, stop, round_cap, **trial_kwargs)
     hits = [hitting_rounds(r, stop) for r in results]
     valid = [h for h in hits if h is not None]
     trunc = sum(1 for r in results if r.truncated) / trials

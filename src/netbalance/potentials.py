@@ -46,6 +46,8 @@ from .spectral import SpeedProfile, lambda2_of
 
 @dataclass(frozen=True)
 class PotentialSnapshot:
+    """Potential values of a state; for a stack, every value is per row."""
+
     round: int
     phi0: float
     phi1: float
@@ -54,36 +56,38 @@ class PotentialSnapshot:
     l_delta: float
 
 
-def psi0_value(sp: SpeedProfile, state: LoadState) -> float:
-    """sum_i e_i^2 / s_i, the cancellation-stable route."""
+def psi0_value(sp: SpeedProfile, state: LoadState):
+    """sum_i e_i^2 / s_i, the cancellation-stable route (per row for a stack)."""
     e = state.deviations(sp)
-    return float(np.sum(e * e * sp.inv_floats))
+    psi0 = np.sum(e * e * sp.inv_floats, axis=-1)
+    return psi0 if state.stacked else float(psi0)
 
 
 def snapshot(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-             round_index: int = 0) -> PotentialSnapshot:
+             round_index: int | np.ndarray = 0) -> PotentialSnapshot:
     """All potential quantities of a state, with internal identity cross-checks.
 
     psi0 and psi1 are computed from the deviation vector (numerically stable
     near balance) and cross-checked against their shifted-phi definitions at
-    1e-9 relative to the phi scale; a mismatch is an implementation bug.
+    1e-9 relative to the phi scale; a mismatch is an implementation bug. For
+    a stack every value, and every check, is per row.
     """
     if state.n != g.node_count or sp.n != g.node_count:
         raise ConfigError("graph, speeds and state sizes do not match")
     inv = sp.inv_floats
     weights = state.node_weights()
-    total = float(weights.sum())
+    total = weights.sum(axis=-1)
     cap = float(sp.total_capacity)
     n = g.node_count
 
-    phi0 = float(np.sum(weights * weights * inv))
-    phi1 = float(np.sum(weights * (weights + 1.0) * inv))
+    phi0 = np.sum(weights * weights * inv, axis=-1)
+    phi1 = np.sum(weights * (weights + 1.0) * inv, axis=-1)
     e = state.deviations(sp)
-    psi0 = float(np.sum(e * e * inv))
+    psi0 = np.sum(e * e * inv, axis=-1)
     inv_har = float(1 / sp.harmonic_mean)
     inv_ari = float(1 / sp.arithmetic_mean)
-    psi1 = float(np.sum((e + 0.5) ** 2 * inv)) - n / 4.0 * inv_ari
-    l_delta = float(np.max(np.abs(e) * inv)) if n else 0.0
+    psi1 = np.sum((e + 0.5) ** 2 * inv, axis=-1) - n / 4.0 * inv_ari
+    l_delta = np.max(np.abs(e) * inv, axis=-1)
 
     _cross_check("psi0", psi0, phi0 - total**2 / cap, scale=phi0)
     _cross_check(
@@ -91,14 +95,19 @@ def snapshot(g: GraphTopology, sp: SpeedProfile, state: LoadState,
         phi1 - total**2 / cap - total * n / cap + n / 4.0 * (inv_har - inv_ari),
         scale=phi1,
     )
-    return PotentialSnapshot(round=round_index, phi0=phi0, phi1=phi1,
-                             psi0=psi0, psi1=psi1, l_delta=l_delta)
+    values = (phi0, phi1, psi0, psi1, l_delta)
+    if not state.stacked:
+        values = tuple(map(float, values))
+    return PotentialSnapshot(round_index, *values)
 
 
-def _cross_check(name: str, direct: float, shifted: float, scale: float) -> None:
-    if abs(direct - shifted) > 1e-9 * max(1.0, abs(scale)):
+def _cross_check(name: str, direct, shifted, scale) -> None:
+    bad = np.abs(direct - shifted) > 1e-9 * np.maximum(1.0, np.abs(scale))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
         raise RuntimeError(
-            f"internal error: {name} routes disagree ({direct} vs {shifted})"
+            f"internal error: {name} routes disagree "
+            f"({np.ravel(direct)[k]} vs {np.ravel(shifted)[k]})"
         )
 
 

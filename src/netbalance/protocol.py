@@ -17,8 +17,16 @@ row over (move-to-neighbor..., stay) per node, the same draw in both modes.
 Unit tasks are anonymous, so that is the whole round; load comparisons are
 done exactly on cross-multiplied integers. Weighted tasks then draw which of
 a node's tasks leave, a uniform ordered sample of distinct tasks split over
-the edges in row order; comparisons are strict floating-point, and ties
+its out-edges in order; comparisons are strict floating-point, and ties
 resolve to "no move".
+
+Many states of one graph (the trials of a run, or independent rounds of one
+state) step together as the rows of a stack: T rows are one state of T
+disjoint copies of the graph, row t's node i being flat node t*n + i, so one
+call steps every row and no task crosses rows. The round's one stream is
+shared by the rows, which draw in flat node order, row 0 first; a row whose
+triggers the caller clears draws nothing and stays as it is. A bare state
+draws exactly what the one-row stack of it draws.
 """
 
 from __future__ import annotations
@@ -58,6 +66,11 @@ class LoadState:
     grouped by node (node 0's tasks first). Unit tasks are the weighted case
     with every weight 1, so W_i is counts[i] or the sum of node i's weights.
     Both arrays are read-only; equality is by value.
+
+    A stack (`LoadState.stack`) holds T states of one graph as rows: counts
+    has shape (T, n), row t's node i is flat node t*n + i, and weights holds
+    the tasks of every flat node in that order. Per-node quantities then have
+    shape (T, n) and per-row ones shape (T,).
     """
 
     counts: np.ndarray
@@ -95,6 +108,26 @@ class LoadState:
             raise ConfigError(f"task weight {weights[bad[0]]} outside (0, 1]")
         return cls(np.array([len(node) for node in lists], dtype=np.int64), weights)
 
+    @classmethod
+    def stack(cls, states) -> "LoadState":
+        """The given states of one graph as the rows of one stack, in order."""
+        states = list(states)
+        if len({s.weights is None for s in states}) != 1:
+            raise ConfigError("a stack holds unit tasks or weighted tasks, not both")
+        if len({s.counts.shape for s in states}) != 1 or states[0].stacked:
+            raise ConfigError("stacked states must be unstacked and of one size")
+        counts = np.stack([s.counts for s in states])
+        if states[0].weights is None:
+            return cls(counts)
+        return cls(counts, np.concatenate([s.weights for s in states]))
+
+    def rows(self) -> list["LoadState"]:
+        """Every row of a stack as its own state (views, no copies)."""
+        if self.weights is None:
+            return [LoadState(c) for c in self.counts]
+        ends = np.cumsum(self.counts.sum(axis=1))[:-1]
+        return [LoadState(c, w) for c, w in zip(self.counts, np.split(self.weights, ends))]
+
     def __eq__(self, other):
         if not isinstance(other, LoadState):
             return NotImplemented
@@ -109,7 +142,11 @@ class LoadState:
 
     @property
     def n(self) -> int:
-        return len(self.counts)
+        return self.counts.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.counts.ndim == 2
 
     @property
     def task_count(self) -> int:
@@ -117,15 +154,16 @@ class LoadState:
 
     @cached_property
     def owner(self) -> np.ndarray:
-        """The node of each entry of `weights`."""
-        return np.repeat(np.arange(self.n), self.counts)
+        """The (flat) node of each entry of `weights`."""
+        return np.repeat(np.arange(self.counts.size), self.counts.ravel())
 
     @cached_property
     def _node_weights(self) -> np.ndarray:
         if self.weights is None:
             w = self.counts.astype(float)
         else:
-            w = np.bincount(self.owner, weights=self.weights, minlength=self.n)
+            w = np.bincount(self.owner, weights=self.weights,
+                            minlength=self.counts.size).reshape(self.counts.shape)
         w.setflags(write=False)
         return w
 
@@ -133,16 +171,19 @@ class LoadState:
         """W_i per node as a read-only float array, summed from this state's tasks."""
         return self._node_weights
 
-    def total_weight(self) -> float:
-        return float(self.node_weights().sum())
+    def total_weight(self):
+        """W as a float, or per row for a stack."""
+        total = self.node_weights().sum(axis=-1)
+        return total if self.stacked else float(total)
 
     def loads(self, sp: SpeedProfile) -> np.ndarray:
         return self.node_weights() * sp.inv_floats
 
     def deviations(self, sp: SpeedProfile) -> np.ndarray:
-        """e_i = W_i - (W / S) * s_i as floats."""
-        scale = self.total_weight() / float(sp.total_capacity)
-        return self.node_weights() - scale * sp.floats
+        """e_i = W_i - (W / S) * s_i as floats (W per row for a stack)."""
+        w = self.node_weights()
+        scale = w.sum(axis=-1, keepdims=True) / float(sp.total_capacity)
+        return w - scale * sp.floats
 
     def to_payload(self) -> dict:
         """JSON-compatible serialization (counterexample artifacts, configs)."""
@@ -225,6 +266,25 @@ def _edge_view(g: GraphTopology) -> _EdgeView:
                      tuple(groups))
 
 
+@lru_cache(maxsize=16)
+def _stack_view(g: GraphTopology, rows: int) -> _EdgeView:
+    """The edge view of `rows` copies of g, row t's edges offset by t*n: a
+    stack's flat state is then one graph's state."""
+    ev = _edge_view(g)
+    if rows == 1:
+        return ev
+    node_off = g.node_count * np.arange(rows)[:, None]
+    edge_off = len(ev.src) * np.arange(rows)[:, None]
+    deg = np.tile(ev.deg, rows)
+    ptr = np.zeros(len(deg) + 1, dtype=np.int64)
+    np.cumsum(deg, out=ptr[1:])
+    groups = tuple((d, (nodes + node_off).ravel(),
+                    (edges + edge_off[:, :, None]).reshape(-1, d))
+                   for d, nodes, edges in ev.groups)
+    return _EdgeView((ev.src + node_off).ravel(), (ev.dst + node_off).ravel(), ptr,
+                     np.tile(ev.dij, rows), deg, groups)
+
+
 @lru_cache(maxsize=256)
 def _mult_view(g: GraphTopology, sp: SpeedProfile) -> np.ndarray:
     if sp.n != g.node_count:
@@ -232,57 +292,113 @@ def _mult_view(g: GraphTopology, sp: SpeedProfile) -> np.ndarray:
     return np.array(sp.multipliers, dtype=np.int64)
 
 
-@lru_cache(maxsize=512)
-def _denominators(g: GraphTopology, sp: SpeedProfile, alpha: float) -> np.ndarray:
-    """alpha * d_ij * (1/s_i + 1/s_j) per directed edge."""
-    ev = _edge_view(g)
-    inv = sp.inv_floats
-    return alpha * ev.dij * (inv[ev.src] + inv[ev.dst])
-
-
-def _trigger_mask(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray:
-    """Directed-edge mask for the strict migration condition l_i - l_j > 1/s_j."""
-    ev = _edge_view(g)
+def _triggers(ev: _EdgeView, mult: np.ndarray, inv: np.ndarray, state: LoadState) -> np.ndarray:
+    """Directed-edge mask (per row for a stack) of the strict migration
+    condition l_i - l_j > 1/s_j."""
     if state.weights is None:
         # Exact: w_i*n_j - w_j*n_i > n_i with s_i = n_i * eps.
-        mult = _mult_view(g, sp)
         w = state.counts
         if w.size and int(w.max()) * int(mult.max() + 1) >= _INT_GUARD:
             raise ConfigError("task counts too large for exact 64-bit comparisons")
-        return w[ev.src] * mult[ev.dst] - w[ev.dst] * mult[ev.src] > mult[ev.src]
-    loads = state.loads(sp)
-    return loads[ev.src] - loads[ev.dst] > sp.inv_floats[ev.dst]
+        return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > mult[ev.src]
+    loads = state.node_weights() * inv
+    return loads[..., ev.src] - loads[..., ev.dst] > inv[ev.dst]
+
+
+def _trigger_mask(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray:
+    return _triggers(_edge_view(g), _mult_view(g, sp), sp.inv_floats, state)
+
+
+class RoundKernel:
+    """What every round of a run shares: the edges, the speed multipliers,
+    alpha and the per-edge denominators, resolved once, and the key of the
+    run's round stream. Every method takes a state or a stack of rows."""
+
+    def __init__(self, g: GraphTopology, sp: SpeedProfile, params: ProtocolParams):
+        self.graph = g
+        self.params = params
+        self.edges = ev = _edge_view(g)
+        self.mult = _mult_view(g, sp)
+        self.inv = sp.inv_floats
+        self.alpha = float(resolve_alpha(params, sp))
+        self.denom = self.alpha * ev.dij * (self.inv[ev.src] + self.inv[ev.dst])
+        self.stream = key_prefix(params.rng_seed, STREAM_ROUND)
+
+    def triggers(self, state: LoadState) -> np.ndarray:
+        return _triggers(self.edges, self.mult, self.inv, state)
+
+    def flows(self, state: LoadState, trig: np.ndarray) -> np.ndarray:
+        """Expected flow f_e = (l_i - l_j) / (alpha*d_ij*(1/s_i + 1/s_j)) on triggered edges."""
+        ev = self.edges
+        loads = state.node_weights() * self.inv
+        return np.where(trig, (loads[..., ev.src] - loads[..., ev.dst]) / self.denom, 0.0)
+
+    def probabilities(self, state: LoadState, trig: np.ndarray) -> np.ndarray:
+        """p_e: the chance that a task which picked this edge's neighbor migrates.
+
+        p_e = (deg(i)/d_ij) * (l_i - l_j) / (alpha * (1/s_i + 1/s_j) * W_i) on
+        triggered edges and 0 elsewhere (the printed rule's own formula under
+        `printed_weighted_rule`). It is at most 1/8 when alpha >= 4*s_max;
+        below that floor it can exceed 1, and the round clamps it at 1.
+        """
+        ev = self.edges
+        weights = state.node_weights()
+        out = np.zeros(trig.shape)
+        if self.params.printed_weighted_rule:
+            num = (ev.deg[ev.src] / ev.dij) * (weights[..., ev.src] - weights[..., ev.dst])
+            prob = np.divide(num, 2.0 * self.alpha * weights[..., ev.src], out=out, where=trig)
+            return np.clip(prob, 0.0, 1.0)
+        return np.divide(self.flows(state, trig) * ev.deg[ev.src], weights[..., ev.src],
+                         out=out, where=trig)
+
+    def step(self, state: LoadState, round_index: int, trig: np.ndarray | None = None):
+        """One round of every row; see `step_round_totals`.
+
+        trig is the state's trigger mask when the caller has it; clearing a
+        row's entries holds that row: it draws nothing and stays as it is.
+        """
+        check_printed_rule(self.params, state.weights is None)
+        if trig is None:
+            trig = self.triggers(state)
+        rows = state.counts.shape[:-1]
+        idle = np.zeros(rows, dtype=np.int64) if rows else 0
+        if not trig.any():
+            return state, idle
+        prob = self.probabilities(state, trig)
+        gen = generator_from_prefix(self.stream, round_index)
+        ev = _stack_view(self.graph, rows[0]) if rows else self.edges
+        counts = state.counts.ravel()
+        moved = _moved_per_edge(ev, counts, prob.ravel(), trig.ravel(), gen)
+        total = int(moved.sum())
+        if total == 0:
+            return state, idle
+        new_counts = counts.copy()
+        np.add.at(new_counts, ev.dst, moved)
+        np.subtract.at(new_counts, ev.src, moved)
+        weights = None if state.weights is None else \
+            _regroup(ev, counts, state.weights, new_counts, moved, gen)
+        new = LoadState(new_counts.reshape(state.counts.shape), weights)
+        return new, moved.reshape(*rows, -1).sum(axis=-1) if rows else total
+
+
+@lru_cache(maxsize=256)
+def round_kernel(g: GraphTopology, sp: SpeedProfile, params: ProtocolParams) -> RoundKernel:
+    return RoundKernel(g, sp, params)
 
 
 def _flow_array(g: GraphTopology, sp: SpeedProfile, state: LoadState,
                 params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
     """(expected flow f_e, trigger mask) over directed edges."""
-    ev = _edge_view(g)
-    trig = _trigger_mask(g, sp, state)
-    denom = _denominators(g, sp, float(resolve_alpha(params, sp)))
-    loads = state.loads(sp)
-    return np.where(trig, (loads[ev.src] - loads[ev.dst]) / denom, 0.0), trig
+    kernel = round_kernel(g, sp, params)
+    trig = kernel.triggers(state)
+    return kernel.flows(state, trig), trig
 
 
 def _per_task_probability_array(g, sp, state, params) -> tuple[np.ndarray, np.ndarray]:
-    """(p_e, trigger): chance a task that picked this edge's neighbor migrates.
-
-    p_e = (deg(i)/d_ij) * (l_i - l_j) / (alpha * (1/s_i + 1/s_j) * W_i) on
-    triggered edges and 0 elsewhere (the printed rule's own formula under
-    `printed_weighted_rule`). It is at most 1/8 when alpha >= 4*s_max; below
-    that floor it can exceed 1, and the round kernel clamps it at 1.
-    """
-    ev = _edge_view(g)
-    weights = state.node_weights()
-    out = np.zeros(len(ev.src))
-    if params.printed_weighted_rule:
-        trig = _trigger_mask(g, sp, state)
-        alpha = float(resolve_alpha(params, sp))
-        num = (ev.deg[ev.src] / ev.dij) * (weights[ev.src] - weights[ev.dst])
-        prob = np.divide(num, 2.0 * alpha * weights[ev.src], out=out, where=trig)
-        return np.clip(prob, 0.0, 1.0), trig
-    flow, trig = _flow_array(g, sp, state, params)
-    return np.divide(flow * ev.deg[ev.src], weights[ev.src], out=out, where=trig), trig
+    """(p_e, trigger) over directed edges; see `RoundKernel.probabilities`."""
+    kernel = round_kernel(g, sp, params)
+    trig = kernel.triggers(state)
+    return kernel.probabilities(state, trig), trig
 
 
 def non_nash_edges(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> set:
@@ -292,25 +408,26 @@ def non_nash_edges(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> set:
     return {(int(ev.src[e]), int(ev.dst[e])) for e in np.flatnonzero(trig)}
 
 
-def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> bool:
-    """True iff no edge satisfies the strict migration condition.
+def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState):
+    """True iff no edge satisfies the strict migration condition (per row for a stack).
 
     For weighted states this is the threshold equilibrium that stops
     Algorithm 2 (l_i - l_j <= 1/s_j on all edges), which is not necessarily a
     per-task Nash equilibrium.
     """
-    return not bool(_trigger_mask(g, sp, state).any())
+    nash = ~_trigger_mask(g, sp, state).any(axis=-1)
+    return nash if state.stacked else bool(nash)
 
 
-def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                   eps: float) -> bool:
-    """True iff (1 - eps) * l_i - l_j <= 1/s_j on every directed edge."""
+def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState, eps: float):
+    """True iff (1 - eps) * l_i - l_j <= 1/s_j on every directed edge (per row for a stack)."""
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     ev = _edge_view(g)
     loads = state.loads(sp)
-    lhs = (1.0 - eps) * loads[ev.src] - loads[ev.dst]
-    return bool((lhs <= sp.inv_floats[ev.dst]).all())
+    lhs = (1.0 - eps) * loads[..., ev.src] - loads[..., ev.dst]
+    ok = (lhs <= sp.inv_floats[ev.dst]).all(axis=-1)
+    return ok if state.stacked else bool(ok)
 
 
 def check_printed_rule(params: ProtocolParams, unit_tasks: bool) -> None:
@@ -320,7 +437,7 @@ def check_printed_rule(params: ProtocolParams, unit_tasks: bool) -> None:
 
 
 def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                      params: ProtocolParams, round_index: int) -> tuple[LoadState, int]:
+                      params: ProtocolParams, round_index: int):
     """Execute one synchronous round; returns the new state and the number of moved tasks.
 
     Total task weight is conserved; with identical inputs the result is
@@ -331,23 +448,12 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     draws how many tasks leave along each edge (`_moved_per_edge`), and for
     weighted tasks then which ones, a uniform choice of movers per node
     (`_mover_tasks`).
+
+    A bare state is the one-row case. A stack of T rows steps as one state
+    of T disjoint copies of g: every row draws from the round's one stream,
+    rows in order, no task crosses rows, and the moves come back per row.
     """
-    check_printed_rule(params, state.weights is None)
-    prob, trig = _per_task_probability_array(g, sp, state, params)
-    if not trig.any():
-        return state, 0
-    gen = generator_from_prefix(key_prefix(params.rng_seed, STREAM_ROUND), round_index)
-    ev = _edge_view(g)
-    moved = _moved_per_edge(ev, state.counts, prob, trig, gen)
-    total = int(moved.sum())
-    if total == 0:
-        return state, 0
-    new_counts = state.counts.copy()
-    np.add.at(new_counts, ev.dst, moved)
-    np.subtract.at(new_counts, ev.src, moved)
-    if state.weights is None:
-        return LoadState(new_counts), total
-    return LoadState(new_counts, _regroup(ev, state, new_counts, moved, gen)), total
+    return round_kernel(g, sp, params).step(state, round_index)
 
 
 def _moved_per_edge(ev: _EdgeView, counts, prob, trig, gen) -> np.ndarray:
@@ -397,7 +503,7 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
         task[redraw] = rank + np.searchsorted(held - np.arange(len(held)), rank, "right")
 
 
-def _regroup(ev: _EdgeView, state: LoadState, new_counts, moved, gen) -> np.ndarray:
+def _regroup(ev: _EdgeView, counts, weights, new_counts, moved, gen) -> np.ndarray:
     """The weights after the round: on each node its kept tasks in order,
     then arrivals in (source node, slot) order.
 
@@ -406,22 +512,22 @@ def _regroup(ev: _EdgeView, state: LoadState, new_counts, moved, gen) -> np.ndar
     """
     edge = np.repeat(np.arange(len(moved)), moved)     # movers grouped by node
     src = ev.src[edge]
-    starts = state.counts.cumsum() - state.counts
-    task = _mover_tasks(starts[src], state.counts[src], gen)
+    starts = counts.cumsum() - counts
+    task = _mover_tasks(starts[src], counts[src], gen)
     dst = ev.dst[edge]
     order = np.lexsort((task, dst))                 # task order is (source, slot) order
     task, dst = task[order], dst[order]
     arrivals = np.bincount(dst, minlength=len(new_counts))
     # Arrivals fill the tail of their node's block; kept tasks fill the rest in order.
     pos = (new_counts.cumsum() - arrivals.cumsum())[dst] + np.arange(len(dst))
-    weights = np.empty_like(state.weights)
-    weights[pos] = state.weights[task]
-    kept = np.ones(len(weights), dtype=bool)
+    out = np.empty_like(weights)
+    out[pos] = weights[task]
+    kept = np.ones(len(out), dtype=bool)
     kept[task] = False
-    free = np.ones(len(weights), dtype=bool)
+    free = np.ones(len(out), dtype=bool)
     free[pos] = False
-    weights[free] = state.weights[kept]
-    return weights
+    out[free] = weights[kept]
+    return out
 
 
 # ---------------------------------------------------------------------------

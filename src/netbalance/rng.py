@@ -3,7 +3,10 @@
 All randomness in the package flows from a 64-bit master seed through Philox
 keys derived from a (seed, stream-tag, index...) path. Each consumer gets its
 own stream, so results are independent of evaluation order and any stream
-(one protocol round, say) can be reproduced in isolation. The key alone
+(one protocol round, say) can be reproduced in isolation. The trials of a
+run share their round streams: round r of every trial draws from the stream
+(derive_seed(master, STREAM_TRIAL, 0), STREAM_ROUND, r), trial after trial,
+so a trial's draws depend on the other trials of the run. The key alone
 fixes every draw: each `Philox(key=...)` still builds a default
 `SeedSequence`, which reads OS entropy and then discards it.
 """
@@ -13,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 # Stream tags keep unrelated consumers of the same seed apart.
-STREAM_ROUND = 1        # per (trial-seed, round) protocol draws
+STREAM_ROUND = 1        # per (stream seed, round) protocol draws, all trials in turn
 STREAM_PLACEMENT = 2    # random initial task placement
 STREAM_WEIGHTS = 3      # random task-weight draws
 STREAM_SPEEDS = 4       # random speed profiles
-STREAM_TRIAL = 5        # per-trial sub-seed derivation
+STREAM_TRIAL = 5        # the trials' round-stream seed (index 0)
 
 _MASK64 = (1 << 64) - 1
 

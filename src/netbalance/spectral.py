@@ -135,11 +135,11 @@ class SpeedProfile:
     def total_capacity(self) -> Fraction:
         return sum(self.speeds, Fraction(0))
 
-    @property
+    @cached_property
     def s_min(self) -> Fraction:
         return min(self.speeds)
 
-    @property
+    @cached_property
     def s_max(self) -> Fraction:
         return max(self.speeds)
 

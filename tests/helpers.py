@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import networkx as nx
+import numpy as np
+from scipy.stats import chi2
 
 
 def to_networkx(g):
@@ -225,6 +227,86 @@ def enum_weighted_round(g, speeds, task_lists, alpha, printed=False):
             e_w2[i] += prob * new[i] ** 2
     var_sum = sum((e_w2[i] - e_w[i] ** 2) / speeds[i] for i in range(n))
     return psi0_of(start) - e_psi0, var_sum
+
+
+def g_test_pvalue(observed, law: dict, draws: int) -> tuple[float, int]:
+    """(p-value, degrees of freedom) of the G-test of observed counts against law.
+
+    Cells with expected count below 5 are merged into one (folded into the
+    smallest other cell if still below 5); the statistic is referred to
+    chi-square with cells - 1 degrees of freedom.
+    """
+    cells = sorted(law, key=law.__getitem__, reverse=True)
+    expected = [draws * float(law[c]) for c in cells]
+    counts = [observed[c] for c in cells]
+    big = [k for k, e in enumerate(expected) if e >= 5]
+    small = [k for k, e in enumerate(expected) if e < 5]
+    exp = [expected[k] for k in big]
+    obs = [counts[k] for k in big]
+    if small:
+        exp.append(sum(expected[k] for k in small))
+        obs.append(sum(counts[k] for k in small))
+        if exp[-1] < 5 and len(exp) > 1:
+            tail_e, tail_o = exp.pop(), obs.pop()
+            exp[-1] += tail_e
+            obs[-1] += tail_o
+    stat = 2.0 * sum(o * math.log(o / e) for o, e in zip(obs, exp) if o)
+    df = len(exp) - 1
+    return float(chi2.sf(stat, df)), df
+
+
+# ---------------------------------------------------------------------------
+# Exact law of whole trials on tiny unit-task instances. The protocol is a
+# Markov chain on the count vectors with a fixed task total; states where a
+# trial stops are made absorbing, and the hitting time's law follows from
+# powers of the transitions among the others (Kemeny and Snell, "Finite
+# Markov Chains"). Stop decisions are exact; the transition probabilities are
+# exact Fractions, powered in floating point.
+
+
+def count_vectors(n, m):
+    """Every placement of m unit tasks on n nodes, as count tuples."""
+    if n == 1:
+        return [(m,)]
+    return [(c,) + rest for c in range(m, -1, -1) for rest in count_vectors(n - 1, m - c)]
+
+
+def exact_equilibrium(g, speeds, counts):
+    """No directed edge has l_i - l_j > 1/s_j, decided in Fractions."""
+    loads = [Fraction(c) / s for c, s in zip(counts, speeds)]
+    return all(loads[i] - loads[j] <= 1 / speeds[j] for i, j in g.directed_edges())
+
+
+def exact_psi0(speeds, counts):
+    share = Fraction(sum(counts)) / sum(speeds, Fraction(0))
+    return sum((c - share * s) ** 2 / s for c, s in zip(counts, speeds))
+
+
+def hitting_time_law(g, speeds, start, alpha, stops, cap):
+    """Law of the first round whose state satisfies `stops`, from `start`.
+
+    Returns ([P(T = 0), ..., P(T = cap), P(T > cap)], E[T]); E[T] comes from
+    the fundamental matrix (I - Q)^-1 and ignores the cap.
+    """
+    states = [s for s in count_vectors(g.node_count, sum(start)) if not stops(s)]
+    if tuple(start) not in states:
+        return [1.0] + [0.0] * cap + [0.0], 0.0
+    index = {s: k for k, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s, k in index.items():
+        for new, p in uniform_round_law(g, speeds, list(s), alpha).items():
+            if new in index:
+                q[k, index[new]] += float(p)
+    alive = np.zeros(len(states))
+    alive[index[tuple(start)]] = 1.0
+    law = [0.0]
+    for _ in range(cap):
+        before = alive.sum()
+        alive = alive @ q
+        law.append(before - alive.sum())
+    law.append(alive.sum())
+    expected = np.linalg.solve(np.eye(len(states)) - q, np.ones(len(states)))
+    return law, float(expected[index[tuple(start)]])
 
 
 def random_rational_speeds(rng, n, max_num=6, max_den=4):

@@ -115,6 +115,41 @@ def test_measure_convergence_single_trial_equals_trial():
     assert summary.fraction_truncated == 0.0
 
 
+@pytest.mark.parametrize("kind", ("exact-ne", "psi-threshold"))
+@pytest.mark.parametrize("weighted", (False, True))
+def test_trials_are_the_rows_of_one_stack(weighted, kind):
+    # The rows stop at different rounds. A stopped row is held: its final
+    # state is the one its trace ends on, at its own stop round (under the
+    # psi-threshold stop it could still move); every row keeps its tasks,
+    # and every trial reports the one shared stream key.
+    from netbalance.potentials import psi0_value, snapshot
+    from netbalance.protocol import is_nash
+    from netbalance.rng import STREAM_TRIAL, derive_seed
+    g = make_graph("cycle", n=4)
+    sp = SpeedProfile.from_rationals([1, 2, 1, 2])
+    counts = ((12, 0, 0, 0), (2, 4, 2, 4), (0, 9, 0, 0), (5, 5, 5, 5), (30, 0, 0, 0))
+    if weighted:
+        starts = [LoadState.weighted([[0.75] * c for c in cs]) for cs in counts]
+    else:
+        starts = [LoadState.uniform(cs) for cs in counts]
+    summary = measure_convergence(g, sp, lambda t: starts[t], ProtocolParams(rng_seed=7),
+                                  StopRule(kind), trials=len(starts), round_cap=5000,
+                                  psi_threshold=4.0, collect_trace=True)
+    assert len({r.rounds_executed for r in summary.results}) > 2
+    for t, (res, start) in enumerate(zip(summary.results, starts)):
+        assert res.trial_id == t and res.seed == derive_seed(7, STREAM_TRIAL, 0)
+        assert not res.truncated and hitting_rounds(res, StopRule(kind)) == res.rounds_executed
+        assert res.final_state.task_count == start.task_count
+        if kind == "exact-ne":
+            assert is_nash(g, sp, res.final_state)
+        else:
+            assert res.final_snapshot.psi0 <= 4.0
+        assert res.final_snapshot == snapshot(g, sp, res.final_state, res.rounds_executed)
+        assert [row[0] for row in res.trace] == list(range(res.rounds_executed + 1))
+        assert res.trace[0][1] == psi0_value(sp, start)
+        assert res.trace[-1][1] == res.final_snapshot.psi0
+
+
 def test_measure_convergence_rejects_bad_args():
     with pytest.raises(ConfigError):
         measure_convergence(K2, UNI2, LoadState.uniform((1, 1)),

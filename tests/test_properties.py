@@ -1,8 +1,9 @@
 """Invariants of one round as properties over random tiny states.
 
 Instances: K2, P3 and C4 with speeds 1,2 or 1,3/2 repeated along the nodes,
-unit or weighted tasks, any seed and round index. Every property is a theorem
-about the protocol or its implementation, so any counterexample is a bug.
+unit or weighted tasks, bare or stacked as the rows of one state, any seed
+and round index. Every property is a theorem about the protocol or its
+implementation, so any counterexample is a bug.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from netbalance.protocol import (
     LoadState,
     ProtocolParams,
     non_nash_edges,
+    round_kernel,
     step_round_totals,
 )
 from netbalance.protocol import _per_task_probability_array
@@ -157,6 +159,55 @@ def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed)
     prob, _ = _per_task_probability_array(g, sp, state, params)
     for i, j in g.directed_edges():
         assert prob[helpers.edge_index(g, i, j)] <= 1 / 8
+
+
+@st.composite
+def stacks(draw, max_rows=5):
+    """One graph and speed profile with 1..max_rows states of one task mode."""
+    g = draw(st.sampled_from(GRAPHS))
+    n = g.node_count
+    pattern = draw(st.sampled_from(SPEED_PATTERNS))
+    sp = SpeedProfile.from_rationals([pattern[i % 2] for i in range(n)])
+    mode = draw(st.sampled_from(("uniform", "weighted")))
+    rows = draw(st.integers(1, max_rows))
+    if mode == "uniform":
+        states = [LoadState.uniform(draw(st.lists(st.integers(0, 12), min_size=n,
+                                                  max_size=n)))
+                  for _ in range(rows)]
+    else:
+        states = [LoadState.weighted(draw(st.lists(st.lists(weights, max_size=5),
+                                                   min_size=n, max_size=n)))
+                  for _ in range(rows)]
+    return g, sp, states
+
+
+@PROPERTY
+@given(stacks(), seeds, rounds, st.sampled_from((Fraction(1, 16), 1)), st.data())
+def test_no_task_crosses_rows(inst, seed, r, alpha_factor, data):
+    g, sp, states = inst
+    params = ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor)
+    kernel = round_kernel(g, sp, params)
+    held = np.array(data.draw(st.lists(st.booleans(), min_size=len(states),
+                                       max_size=len(states))))
+    stack = LoadState.stack(states)
+    for k in range(3):
+        trig = kernel.triggers(stack)
+        trig[held] = False
+        stack, moves = kernel.step(stack, r + k, trig)
+        assert moves.shape == (len(states),) and not moves[held].any()
+        for row, start, hold in zip(stack.rows(), states, held):
+            assert row.task_count == start.task_count
+            if start.weights is not None:
+                assert np.array_equal(np.sort(row.weights), np.sort(start.weights))
+            if hold:
+                # A held (finished) row never changes, down to the bits.
+                assert row.counts.tobytes() == start.counts.tobytes()
+                assert start.weights is None or \
+                    row.weights.tobytes() == start.weights.tobytes()
+    # A one-row stack steps exactly as the bare state.
+    bare, bare_moves = step_round_totals(g, sp, states[0], params, r)
+    one, one_moves = step_round_totals(g, sp, LoadState.stack(states[:1]), params, r)
+    assert one.rows()[0] == bare and one_moves.tolist() == [bare_moves]
 
 
 DYADIC_SPEEDS = (1, 2, 4)

@@ -219,11 +219,8 @@ def test_step_round_mc_mean_matches_binomial():
     st = LoadState.uniform((2, 0))
     p = params(seed=123)
     n_rounds = 100_000
-    moved = 0
-    for r in range(n_rounds):
-        _, total = step_round_totals(K2, UNI2, st, p, r)
-        moved += total
-    mean = moved / n_rounds
+    _, moved = step_round_totals(K2, UNI2, LoadState.stack([st] * n_rounds), p, 0)
+    mean = moved.sum() / n_rounds
     se = math.sqrt(2 * (1 / 8) * (7 / 8) / n_rounds)
     assert abs(mean - 0.25) <= 3 * se
 

@@ -2,27 +2,31 @@
 
 Each case fixes a tiny state (K2, P3 or C4; speeds 1,2 or 1,3/2 repeated
 along the nodes; at most 8 unit tasks or 6 weighted tasks, both weighted
-rules) and draws ROUNDS rounds from `step_round_totals` under round indices
-0..ROUNDS-1. The histogram of next states is compared with the exact law
-from `helpers` by a G-test: cells with expected count below 5 are merged
-into one (folded into the smallest other cell if still below 5), and the
-statistic is referred to chi-square with cells - 1 degrees of freedom.
+rules) and draws ROUNDS rounds of it from `step_round_totals` in two ways:
+one round at a time under round indices 0..ROUNDS-1 (`test_one_round_law`),
+and all at once as the ROUNDS rows of one stack stepped in one call
+(`test_one_round_law_stacked`). The histogram of next states
+is compared with the exact law from `helpers` by a G-test
+(`helpers.g_test_pvalue`).
 
-Every case runs at level 1e-4 / len(CASES) (Bonferroni), so the gate as a
-whole fails on a correct kernel with probability at most 1e-4, up to the
-chi-square approximation of the G statistic. In the P3 and C4 states two
-nodes send tasks (all but the weighted P3 state at speeds 1,3/2), so the
-joint law also checks that moves at different nodes, which draw from one
-stream, are independent. alpha is s_max, a quarter of the protocol's floor,
-so tasks move often and the law has many cells.
+Every test runs at level FAMILY_LEVEL / len(CASES) (Bonferroni), so each of
+the two routes fails on a correct kernel with probability at most 1e-4, and
+the gate as a whole with probability at most 2e-4, up to the chi-square
+approximation of the G statistic. In the P3 and C4 states two nodes send
+tasks (all but the weighted P3 state at speeds 1,3/2), so the joint law also
+checks that moves at different nodes, which draw from one stream, are
+independent. The stacked route draws every row from one stream, so it checks
+that rows are identically distributed; `test_rows_of_one_round_are_independent`
+checks that neighbouring rows are independent. alpha is s_max, a quarter of
+the protocol's floor, so tasks move often and the law has many cells.
 """
 
-import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2_contingency
 
 from netbalance.graphs import make_graph
 from netbalance.protocol import LoadState, ProtocolParams, step_round_totals
@@ -54,35 +58,14 @@ MOVERS_CASE = (make_graph("cycle", n=4), (1, 2),
 CASES.append(MOVERS_CASE)
 
 
-def g_test_pvalue(observed: Counter, law: dict, draws: int) -> tuple[float, int]:
-    """(p-value, degrees of freedom) of the G-test of observed against law."""
-    cells = sorted(law, key=law.__getitem__, reverse=True)
-    expected = [draws * float(law[c]) for c in cells]
-    counts = [observed[c] for c in cells]
-    big = [k for k, e in enumerate(expected) if e >= 5]
-    small = [k for k, e in enumerate(expected) if e < 5]
-    exp = [expected[k] for k in big]
-    obs = [counts[k] for k in big]
-    if small:
-        exp.append(sum(expected[k] for k in small))
-        obs.append(sum(counts[k] for k in small))
-        if exp[-1] < 5 and len(exp) > 1:
-            tail_e, tail_o = exp.pop(), obs.pop()
-            exp[-1] += tail_e
-            obs[-1] += tail_o
-    stat = 2.0 * sum(o * math.log(o / e) for o, e in zip(obs, exp) if o)
-    df = len(exp) - 1
-    return float(chi2.sf(stat, df)), df
-
-
 def _case_id(case):
     g, pattern, _, rule = case
     suffix = "-movers" if case is MOVERS_CASE else ""
     return f"n{g.node_count}-speeds{'_'.join(map(str, pattern))}-{rule or 'unit'}{suffix}"
 
 
-@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
-def test_one_round_law(case):
+def _instance(case):
+    """(speeds, state, params, exact law, outcome of a next state)."""
     g, pattern, tasks, rule = case
     sp = SpeedProfile.from_rationals([pattern[i % 2] for i in range(g.node_count)])
     alpha = sp.s_max
@@ -103,11 +86,57 @@ def test_one_round_law(case):
         def outcome(new):
             return tuple(tuple(sorted(map(Fraction, node)))
                          for node in new.to_payload()["tasks"])
+    return sp, state, params, law, outcome
+
+
+def _check_law(law, outcome, nexts):
     assert sum(law.values()) == 1
-    observed = Counter(outcome(step_round_totals(g, sp, state, params, r)[0])
-                       for r in range(ROUNDS))
+    observed = Counter(map(outcome, nexts))
     impossible = set(observed) - set(law)
     assert not impossible, f"outcomes outside the law's support: {impossible}"
-    pvalue, df = g_test_pvalue(observed, law, ROUNDS)
+    pvalue, df = helpers.g_test_pvalue(observed, law, ROUNDS)
     assert df >= 1
     assert pvalue > FAMILY_LEVEL / len(CASES), (pvalue, df)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+def test_one_round_law(case):
+    g = case[0]
+    sp, state, params, law, outcome = _instance(case)
+    _check_law(law, outcome,
+               [step_round_totals(g, sp, state, params, r)[0] for r in range(ROUNDS)])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+def test_one_round_law_stacked(case):
+    g = case[0]
+    sp, state, params, law, outcome = _instance(case)
+    stack = LoadState.stack([state] * ROUNDS)
+    _check_law(law, outcome, step_round_totals(g, sp, stack, params, 0)[0].rows())
+
+
+PAIR_ROWS = 4000
+PAIR_CASES = [c for c in CASES if c[0].node_count == 2 and c[3] in (None, "definition")
+              and c[1] == (1, 2)]
+
+
+@pytest.mark.parametrize("case", PAIR_CASES, ids=[_case_id(c) for c in PAIR_CASES])
+def test_rows_of_one_round_are_independent(case):
+    # On K2 a row's next state is fixed by the task count left on node 0.
+    # Rows 2k and 2k+1 of one stacked round draw one after the other from
+    # the same stream; a G-test of independence on the two-way table of
+    # their counts (outer 5% of the values folded into the nearest kept
+    # one) runs at level FAMILY_LEVEL / len(PAIR_CASES).
+    g = case[0]
+    sp, state, params, _, _ = _instance(case)
+    new, _ = step_round_totals(g, sp, LoadState.stack([state] * PAIR_ROWS), params, 0)
+    left = new.counts[:, 0]
+    lo, hi = np.percentile(left, [5, 95])
+    cells = np.clip(left, lo, hi).astype(np.int64) - int(lo)
+    pairs = cells.reshape(-1, 2)
+    table = np.zeros((cells.max() + 1,) * 2)
+    np.add.at(table, (pairs[:, 0], pairs[:, 1]), 1)
+    assert table.shape[0] >= 3
+    _, pvalue, _, expected = chi2_contingency(table, lambda_="log-likelihood")
+    assert expected.min() >= 5
+    assert pvalue > FAMILY_LEVEL / len(PAIR_CASES), pvalue
