@@ -44,13 +44,13 @@ from .protocol import (
     LoadState,
     MODE_UNIFORM,
     ProtocolParams,
+    RoundKernel,
     all_on_one_state,
     default_alpha,
     exact_ne_alpha,
     is_approx_nash,
     is_nash,
-    round_kernel,
-    step_round_totals,  # noqa: F401 - a perfbench tracer target; trials step via round_kernel
+    step_round_totals,  # noqa: F401 - a perfbench tracer target; trials step via RoundKernel
 )
 from .rng import STREAM_TRIAL, derive_seed
 from .spectral import SpeedProfile, lambda2_of
@@ -125,7 +125,7 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     eps = stop.eps if stop.kind == "approx-ne" else approx_eps
     if psi_threshold is None:
         psi_threshold = 4.0 * critical_value(g, sp)
-    kernel = round_kernel(g, sp, params)
+    kernel = RoundKernel(g, sp, params)
     trials = len(state.counts)
     none = -1
     hit_psi = np.full(trials, none)
@@ -246,8 +246,8 @@ def measure_convergence(g: GraphTopology, sp: SpeedProfile, init_spec,
     valid = [h for h in hits if h is not None]
     trunc = sum(1 for r in results if r.truncated) / trials
     if valid:
-        q25, med, q75 = np.percentile(valid, [25, 50, 75])
-        summary = (float(med), float(np.mean(valid)), float(q25), float(q75))
+        q25, med, q75 = quartiles(valid)
+        summary = (med, float(np.mean(valid)), q25, q75)
     else:
         summary = (None, None, None, None)
     return ConvergenceSummary(
@@ -256,6 +256,22 @@ def measure_convergence(g: GraphTopology, sp: SpeedProfile, init_spec,
         q25_rounds=summary[2], q75_rounds=summary[3],
         fraction_truncated=trunc, results=tuple(results),
     )
+
+
+def quartiles(values: Sequence[int]) -> tuple[float, float, float]:
+    """q25, median and q75 of a non-empty list, each interpolated linearly
+    between the two nearest order statistics (numpy's default percentile
+    method, without `np.percentile`, whose first call imports `numpy.ma`)."""
+    ordered = sorted(values)
+    top = len(ordered) - 1
+
+    def at(q: float) -> float:
+        pos = q * top
+        lo = int(pos)
+        hi = min(lo + 1, top)
+        return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
+
+    return at(0.25), at(0.5), at(0.75)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def _ser_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-#: key -> (attribute, parse, serialize); order fixes the canonical file layout.
+#: key -> (attribute, parse, serialize); order fixes the key order of the
+#: config block that `run` writes to summary.json.
 CONFIG_KEYS = {
     "graph.family": ("graph_family", str, str),
     "graph.n": ("graph_n", int, str),
@@ -132,9 +133,6 @@ CONFIG_KEYS = {
     "output.trace": ("output_trace", _parse_bool, _ser_bool),
 }
 
-_DEFAULTS = ExperimentConfig()
-
-
 def parse_config(text: str) -> ExperimentConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,17 +156,6 @@ def parse_config(text: str) -> ExperimentConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key}: {exc}") from exc
     return ExperimentConfig(**values)
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization: fixed key order, defaults and unset keys omitted."""
-    lines = []
-    for key, (attr, _, ser) in CONFIG_KEYS.items():
-        value = getattr(cfg, attr)
-        if value is None or value == getattr(_DEFAULTS, attr):
-            continue
-        lines.append(f"{key} = {ser(value)}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:

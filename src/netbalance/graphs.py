@@ -5,7 +5,9 @@ grid, hypercube) and explicit edge lists, exposing the combinatorial
 quantities the spectral bounds need: degrees, the per-edge degree maximum,
 the diameter, and a brute-force isoperimetric number for small graphs.
 Family graphs also carry their algebraic connectivity lambda2 in closed form;
-explicit graphs leave it to the eigensolver in `spectral`.
+explicit graphs leave it to the eigensolver in `spectral`. A graph also
+holds its directed edges as arrays (`GraphTopology.edge_arrays`, built on
+first use), the form the round kernel in `protocol` reads.
 
 Node identifiers are dense integers 0..n-1 with a canonical ordering per
 family (row-major for torus/grid, binary labels for the hypercube) so that
@@ -19,7 +21,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, DisconnectedGraphError
 
@@ -27,6 +33,34 @@ FAMILIES = ("complete", "cycle", "path", "torus2d", "grid2d", "hypercube", "expl
 
 #: Largest node count for which the isoperimetric number is brute-forced.
 ISO_BRUTE_FORCE_CAP = 14
+
+
+class EdgeArrays(NamedTuple):
+    """A graph's directed edges as arrays, grouped by source node."""
+
+    src: np.ndarray      # directed edge source, grouped by node
+    dst: np.ndarray
+    ptr: np.ndarray      # CSR offsets: node i's out-edges are [ptr[i], ptr[i+1])
+    dij: np.ndarray      # max(deg(src), deg(dst)) per directed edge
+    deg: np.ndarray
+    # (d, nodes of degree d ascending, their out-edges as a (nodes, d) block),
+    # by ascending d
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+    def tile(self, rows: int) -> "EdgeArrays":
+        """The arrays of `rows` disjoint copies of the graph, copy t's nodes
+        and edges offset by t*n and t*|src|: a stack's flat state is then one
+        graph's state."""
+        node_off = len(self.deg) * np.arange(rows)[:, None]
+        edge_off = len(self.src) * np.arange(rows)[:, None]
+        deg = np.tile(self.deg, rows)
+        ptr = np.zeros(len(deg) + 1, dtype=np.int64)
+        np.cumsum(deg, out=ptr[1:])
+        groups = tuple((d, (nodes + node_off).ravel(),
+                        (edges + edge_off[:, :, None]).reshape(-1, d))
+                       for d, nodes, edges in self.groups)
+        return EdgeArrays((self.src + node_off).ravel(), (self.dst + node_off).ravel(),
+                          ptr, np.tile(self.dij, rows), deg, groups)
 
 
 @dataclass(frozen=True)
@@ -43,15 +77,6 @@ class GraphTopology:
     # graphs. Derived from the edges, so it takes no part in equality.
     lambda2: float | None = field(default=None, compare=False)
 
-    def __hash__(self):
-        # Hot lookup key for per-graph caches; hashing the edge tuple every
-        # call would dominate small-round costs.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.node_count, self.edges))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @property
     def n(self) -> int:
         return self.node_count
@@ -65,6 +90,22 @@ class GraphTopology:
         for u, v in self.edges:
             yield u, v
             yield v, u
+
+    @cached_property
+    def edge_arrays(self) -> EdgeArrays:
+        """Both orientations of every edge, grouped by source node in
+        `neighbors` order, with the per-edge d_ij and the degree classes."""
+        deg = np.array(self.degrees, dtype=np.int64)
+        src = np.repeat(np.arange(self.node_count, dtype=np.int64), deg)
+        dst = np.array([j for nbrs in self.neighbors for j in nbrs], dtype=np.int64)
+        ptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(deg, out=ptr[1:])
+        groups = []
+        for d in sorted(set(self.degrees)):
+            nodes = np.flatnonzero(deg == d)
+            groups.append((d, nodes, ptr[nodes, None] + np.arange(d)))
+        return EdgeArrays(src, dst, ptr, np.maximum(deg[src], deg[dst]), deg,
+                          tuple(groups))
 
 
 def bfs_distances(neighbors: tuple[tuple[int, ...], ...], source: int) -> list[int]:

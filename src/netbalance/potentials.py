@@ -36,8 +36,7 @@ from .graphs import GraphTopology
 from .protocol import (
     LoadState,
     ProtocolParams,
-    _edge_view,
-    _flow_array,
+    RoundKernel,
     check_printed_rule,
     resolve_alpha,
 )
@@ -223,9 +222,10 @@ def phi1_drop_routes(m: NodeMoments, sp: SpeedProfile, state: LoadState):
 def variance_bound(g: GraphTopology, sp: SpeedProfile, state: LoadState,
                    params: ProtocolParams) -> float:
     """sum over non-Nash directed edges of f_ij * (1/s_i + 1/s_j)."""
-    ev = _edge_view(g)
-    flow, trig = _flow_array(g, sp, state, params)
-    inv = sp.inv_floats
+    kernel = RoundKernel(g, sp, params)
+    trig = kernel.triggers(state)
+    flow = kernel.flows(state, trig)
+    ev, inv = kernel.edges, kernel.inv
     idx = np.flatnonzero(trig)
     return float(np.sum(flow[idx] * (inv[ev.src[idx]] + inv[ev.dst[idx]])))
 

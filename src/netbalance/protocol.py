@@ -27,6 +27,13 @@ call steps every row and no task crosses rows. The round's one stream is
 shared by the rows, which draw in flat node order, row 0 first; a row whose
 triggers the caller clears draws nothing and stays as it is. A bare state
 draws exactly what the one-row stack of it draws.
+
+Derived arrays live on the objects that own their inputs, not in
+module-level caches. The graph holds its directed-edge arrays
+(`GraphTopology.edge_arrays`); a `RoundKernel` holds the rest of what the
+rounds of a run share (speed multipliers, alpha, per-edge denominators, the
+round stream's key, the edge arrays of the stack it steps). A run builds one
+kernel; `step_round_totals`, `is_nash` and `non_nash_edges` build one per call.
 """
 
 from __future__ import annotations
@@ -34,13 +41,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import GraphTopology
+from .graphs import EdgeArrays, GraphTopology
 from .rng import (
     STREAM_PLACEMENT,
     STREAM_ROUND,
@@ -235,97 +242,37 @@ def resolve_alpha(params: ProtocolParams, sp: SpeedProfile) -> Fraction:
     return Fraction(params.alpha)
 
 
-class _EdgeView(NamedTuple):
-    src: np.ndarray      # directed edge source, grouped by node
-    dst: np.ndarray
-    ptr: np.ndarray      # CSR offsets: node i's out-edges are [ptr[i], ptr[i+1])
-    dij: np.ndarray      # max(deg(src), deg(dst)) per directed edge
-    deg: np.ndarray
-    # (d, nodes of degree d ascending, their out-edges as a (nodes, d) block),
-    # by ascending d
-    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-
-
-@lru_cache(maxsize=256)
-def _edge_view(g: GraphTopology) -> _EdgeView:
-    src, dst = [], []
-    for i in range(g.node_count):
-        for j in g.neighbors[i]:
-            src.append(i)
-            dst.append(j)
-    src_a = np.array(src, dtype=np.int64)
-    dst_a = np.array(dst, dtype=np.int64)
-    deg = np.array(g.degrees, dtype=np.int64)
-    ptr = np.zeros(g.node_count + 1, dtype=np.int64)
-    np.cumsum(deg, out=ptr[1:])
-    groups = []
-    for d in sorted(set(g.degrees)):
-        nodes = np.flatnonzero(deg == d)
-        groups.append((d, nodes, ptr[nodes, None] + np.arange(d)))
-    return _EdgeView(src_a, dst_a, ptr, np.maximum(deg[src_a], deg[dst_a]), deg,
-                     tuple(groups))
-
-
-@lru_cache(maxsize=16)
-def _stack_view(g: GraphTopology, rows: int) -> _EdgeView:
-    """The edge view of `rows` copies of g, row t's edges offset by t*n: a
-    stack's flat state is then one graph's state."""
-    ev = _edge_view(g)
-    if rows == 1:
-        return ev
-    node_off = g.node_count * np.arange(rows)[:, None]
-    edge_off = len(ev.src) * np.arange(rows)[:, None]
-    deg = np.tile(ev.deg, rows)
-    ptr = np.zeros(len(deg) + 1, dtype=np.int64)
-    np.cumsum(deg, out=ptr[1:])
-    groups = tuple((d, (nodes + node_off).ravel(),
-                    (edges + edge_off[:, :, None]).reshape(-1, d))
-                   for d, nodes, edges in ev.groups)
-    return _EdgeView((ev.src + node_off).ravel(), (ev.dst + node_off).ravel(), ptr,
-                     np.tile(ev.dij, rows), deg, groups)
-
-
-@lru_cache(maxsize=256)
-def _mult_view(g: GraphTopology, sp: SpeedProfile) -> np.ndarray:
-    if sp.n != g.node_count:
-        raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
-    return np.array(sp.multipliers, dtype=np.int64)
-
-
-def _triggers(ev: _EdgeView, mult: np.ndarray, inv: np.ndarray, state: LoadState) -> np.ndarray:
-    """Directed-edge mask (per row for a stack) of the strict migration
-    condition l_i - l_j > 1/s_j."""
-    if state.weights is None:
-        # Exact: w_i*n_j - w_j*n_i > n_i with s_i = n_i * eps.
-        w = state.counts
-        if w.size and int(w.max()) * int(mult.max() + 1) >= _INT_GUARD:
-            raise ConfigError("task counts too large for exact 64-bit comparisons")
-        return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > mult[ev.src]
-    loads = state.node_weights() * inv
-    return loads[..., ev.src] - loads[..., ev.dst] > inv[ev.dst]
-
-
-def _trigger_mask(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray:
-    return _triggers(_edge_view(g), _mult_view(g, sp), sp.inv_floats, state)
-
-
 class RoundKernel:
-    """What every round of a run shares: the edges, the speed multipliers,
-    alpha and the per-edge denominators, resolved once, and the key of the
-    run's round stream. Every method takes a state or a stack of rows."""
+    """What every round of a run shares: the graph's edge arrays, the speed
+    multipliers, alpha and the per-edge denominators, resolved once, and the
+    key of the run's round stream. Every method takes a state or a stack of
+    rows; the edge arrays of T stacked copies are kept for the last T stepped.
+    """
 
     def __init__(self, g: GraphTopology, sp: SpeedProfile, params: ProtocolParams):
-        self.graph = g
+        if sp.n != g.node_count:
+            raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
         self.params = params
-        self.edges = ev = _edge_view(g)
-        self.mult = _mult_view(g, sp)
+        self.edges = ev = g.edge_arrays
+        self.mult = np.array(sp.multipliers, dtype=np.int64)
         self.inv = sp.inv_floats
         self.alpha = float(resolve_alpha(params, sp))
         self.denom = self.alpha * ev.dij * (self.inv[ev.src] + self.inv[ev.dst])
         self.stream = key_prefix(params.rng_seed, STREAM_ROUND)
+        self._stacked = (1, ev)     # (T, edge arrays of T copies of the graph)
 
     def triggers(self, state: LoadState) -> np.ndarray:
-        return _triggers(self.edges, self.mult, self.inv, state)
+        """Directed-edge mask (per row for a stack) of the strict migration
+        condition l_i - l_j > 1/s_j."""
+        ev, mult = self.edges, self.mult
+        if state.weights is None:
+            # Exact: w_i*n_j - w_j*n_i > n_i with s_i = n_i * eps.
+            w = state.counts
+            if w.size and int(w.max()) * int(mult.max() + 1) >= _INT_GUARD:
+                raise ConfigError("task counts too large for exact 64-bit comparisons")
+            return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > mult[ev.src]
+        loads = state.node_weights() * self.inv
+        return loads[..., ev.src] - loads[..., ev.dst] > self.inv[ev.dst]
 
     def flows(self, state: LoadState, trig: np.ndarray) -> np.ndarray:
         """Expected flow f_e = (l_i - l_j) / (alpha*d_ij*(1/s_i + 1/s_j)) on triggered edges."""
@@ -366,7 +313,9 @@ class RoundKernel:
             return state, idle
         prob = self.probabilities(state, trig)
         gen = generator_from_prefix(self.stream, round_index)
-        ev = _stack_view(self.graph, rows[0]) if rows else self.edges
+        if rows and self._stacked[0] != rows[0]:
+            self._stacked = (rows[0], self.edges.tile(rows[0]))
+        ev = self._stacked[1] if rows else self.edges
         counts = state.counts.ravel()
         moved = _moved_per_edge(ev, counts, prob.ravel(), trig.ravel(), gen)
         total = int(moved.sum())
@@ -381,31 +330,16 @@ class RoundKernel:
         return new, moved.reshape(*rows, -1).sum(axis=-1) if rows else total
 
 
-@lru_cache(maxsize=256)
-def round_kernel(g: GraphTopology, sp: SpeedProfile, params: ProtocolParams) -> RoundKernel:
-    return RoundKernel(g, sp, params)
-
-
-def _flow_array(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                params: ProtocolParams) -> tuple[np.ndarray, np.ndarray]:
-    """(expected flow f_e, trigger mask) over directed edges."""
-    kernel = round_kernel(g, sp, params)
-    trig = kernel.triggers(state)
-    return kernel.flows(state, trig), trig
-
-
-def _per_task_probability_array(g, sp, state, params) -> tuple[np.ndarray, np.ndarray]:
-    """(p_e, trigger) over directed edges; see `RoundKernel.probabilities`."""
-    kernel = round_kernel(g, sp, params)
-    trig = kernel.triggers(state)
-    return kernel.probabilities(state, trig), trig
+#: Parameters for a kernel that only tests triggers, which read neither the
+#: seed nor alpha.
+_TRIGGER_PARAMS = ProtocolParams(rng_seed=0)
 
 
 def non_nash_edges(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> set:
     """Directed edges with positive expected flow: l_i - l_j > 1/s_j, exactly."""
-    ev = _edge_view(g)
-    trig = _trigger_mask(g, sp, state)
-    return {(int(ev.src[e]), int(ev.dst[e])) for e in np.flatnonzero(trig)}
+    kernel = RoundKernel(g, sp, _TRIGGER_PARAMS)
+    ev = kernel.edges
+    return {(int(ev.src[e]), int(ev.dst[e])) for e in np.flatnonzero(kernel.triggers(state))}
 
 
 def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState):
@@ -415,7 +349,7 @@ def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState):
     Algorithm 2 (l_i - l_j <= 1/s_j on all edges), which is not necessarily a
     per-task Nash equilibrium.
     """
-    nash = ~_trigger_mask(g, sp, state).any(axis=-1)
+    nash = ~RoundKernel(g, sp, _TRIGGER_PARAMS).triggers(state).any(axis=-1)
     return nash if state.stacked else bool(nash)
 
 
@@ -423,7 +357,7 @@ def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState, eps: fl
     """True iff (1 - eps) * l_i - l_j <= 1/s_j on every directed edge (per row for a stack)."""
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    ev = _edge_view(g)
+    ev = g.edge_arrays
     loads = state.loads(sp)
     lhs = (1.0 - eps) * loads[..., ev.src] - loads[..., ev.dst]
     ok = (lhs <= sp.inv_floats[ev.dst]).all(axis=-1)
@@ -452,11 +386,12 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     A bare state is the one-row case. A stack of T rows steps as one state
     of T disjoint copies of g: every row draws from the round's one stream,
     rows in order, no task crosses rows, and the moves come back per row.
+    Rounds of one run should share one `RoundKernel` and call its `step`.
     """
-    return round_kernel(g, sp, params).step(state, round_index)
+    return RoundKernel(g, sp, params).step(state, round_index)
 
 
-def _moved_per_edge(ev: _EdgeView, counts, prob, trig, gen) -> np.ndarray:
+def _moved_per_edge(ev: EdgeArrays, counts, prob, trig, gen) -> np.ndarray:
     """Tasks leaving along each directed edge this round.
 
     Exchangeable tasks: one multinomial row over (move-to-neighbor..., stay)
@@ -503,7 +438,7 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
         task[redraw] = rank + np.searchsorted(held - np.arange(len(held)), rank, "right")
 
 
-def _regroup(ev: _EdgeView, counts, weights, new_counts, moved, gen) -> np.ndarray:
+def _regroup(ev: EdgeArrays, counts, weights, new_counts, moved, gen) -> np.ndarray:
     """The weights after the round: on each node its kept tasks in order,
     then arrivals in (source node, slot) order.
 

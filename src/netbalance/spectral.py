@@ -96,13 +96,6 @@ class SpeedProfile:
         if min(self.speeds) != 1:
             raise ConfigError("speeds must be normalized so the minimum is 1")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.speeds)
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @classmethod
     def from_rationals(cls, values: Iterable) -> "SpeedProfile":
         """Build a profile from exact rationals, normalizing by the minimum."""

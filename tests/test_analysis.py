@@ -2,12 +2,16 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netbalance.analysis import (
     StopRule,
     hitting_rounds,
     measure_convergence,
+    quartiles,
     run_trial,
     scaling_experiment,
     verify_lemma_suite,
@@ -148,6 +152,13 @@ def test_trials_are_the_rows_of_one_stack(weighted, kind):
         assert [row[0] for row in res.trace] == list(range(res.rounds_executed + 1))
         assert res.trace[0][1] == psi0_value(sp, start)
         assert res.trace[-1][1] == res.final_snapshot.psi0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
+def test_quartiles_match_numpy_percentile(hits):
+    # The summary's q25, median and q75 are numpy's default (linear) percentiles.
+    assert quartiles(hits) == tuple(np.percentile(hits, [25, 50, 75]).tolist())
 
 
 def test_measure_convergence_rejects_bad_args():

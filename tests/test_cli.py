@@ -1,14 +1,18 @@
 """Config round-trips, command outputs, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from netbalance.cli import (
+    CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFICATION,
-    config_to_text,
     main,
     parse_config,
     render_json,
@@ -35,15 +39,31 @@ def write_config(tmp_path, text, name="exp.cfg"):
     return path
 
 
-def test_config_round_trip():
-    cfg = parse_config(BASIC_CONFIG)
+def test_config_round_trip(tmp_path):
+    # The config block that `run` writes to summary.json, written back as
+    # `key = value` lines, parses to the config that was run.
+    text = BASIC_CONFIG + "protocol.alpha = 9/2\nprotocol.eps = 0.1\n"
+    cfg = parse_config(text)
     assert cfg.graph_family == "complete"
     assert cfg.run_master_seed == 42
     assert cfg.output_trace is True
-    text = config_to_text(cfg)
-    assert parse_config(text) == cfg
-    # canonical text is a fixed point
-    assert config_to_text(parse_config(text)) == text
+    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_OK
+    block = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+    assert list(block) == [key for key in CONFIG_KEYS if key in block]
+    assert parse_config("".join(f"{k} = {v}\n" for k, v in block.items())) == cfg
+
+
+def test_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile's first call imports numpy.ma (about 20 ms per process);
+    # a run's hitting-time quartiles need neither.
+    cfg_path = write_config(tmp_path, BASIC_CONFIG)
+    code = ("import sys; from netbalance.cli import main; "
+            f"code = main(['run', {str(cfg_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stdout.strip() == "0 False", proc.stdout + proc.stderr
 
 
 def test_config_errors(tmp_path, capsys):

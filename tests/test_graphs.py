@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netbalance.errors import ConfigError, DisconnectedGraphError
@@ -12,7 +13,6 @@ from netbalance.graphs import (
     make_graph,
     parse_edge_list,
 )
-from netbalance.protocol import _edge_view
 
 import helpers
 
@@ -88,7 +88,7 @@ def test_diameter_closed_forms():
 def test_pair_degree():
     # d_ij = max(deg(i), deg(j)) per directed edge, as the round kernel reads it.
     def pair_degree(g, i, j):
-        return int(_edge_view(g).dij[helpers.edge_index(g, i, j)])
+        return int(g.edge_arrays.dij[helpers.edge_index(g, i, j)])
 
     k4 = make_graph("complete", n=4)
     assert pair_degree(k4, 0, 3) == 3
@@ -96,10 +96,27 @@ def test_pair_degree():
     assert pair_degree(path3, 0, 1) == pair_degree(path3, 1, 0) == 2
     star = make_graph("explicit", n=4, edges=[(0, 1), (0, 2), (0, 3)])
     assert pair_degree(star, 0, 2) == pair_degree(star, 2, 0) == 3
-    for g in (k4, path3, star):
-        assert len(_edge_view(g).dij) == 2 * g.edge_count
+    for g in (k4, path3, star, make_graph("grid2d", rows=2, cols=3)):
+        ev = g.edge_arrays
+        assert len(ev.dij) == 2 * g.edge_count
         for i, j in g.directed_edges():
             assert pair_degree(g, i, j) == max(g.degrees[i], g.degrees[j])
+        # src, dst and the CSR offsets follow `neighbors`.
+        assert ev.deg.tolist() == list(g.degrees)
+        assert ev.ptr[0] == 0 and np.diff(ev.ptr).tolist() == list(g.degrees)
+        for i in range(g.node_count):
+            out = slice(ev.ptr[i], ev.ptr[i + 1])
+            assert (ev.src[out] == i).all()
+            assert tuple(ev.dst[out].tolist()) == g.neighbors[i]
+        # The degree classes partition the nodes, ascending, each with the
+        # (nodes, d) block of its nodes' out-edges.
+        assert [d for d, _, _ in ev.groups] == sorted(set(g.degrees))
+        assert sorted(np.concatenate([nodes for _, nodes, _ in ev.groups]).tolist()) == \
+            list(range(g.node_count))
+        for d, nodes, edges in ev.groups:
+            assert (np.diff(nodes) > 0).all() and (ev.deg[nodes] == d).all()
+            assert edges.shape == (len(nodes), d)
+            assert (ev.src[edges] == nodes[:, None]).all()
 
 
 def test_isoperimetric_examples():

@@ -24,11 +24,11 @@ from netbalance.potentials import (
 from netbalance.protocol import (
     LoadState,
     ProtocolParams,
+    RoundKernel,
     random_task_weights,
     step_round_totals,
     weighted_all_on_one,
 )
-from netbalance.protocol import _flow_array
 from netbalance.spectral import SpeedProfile
 
 import helpers
@@ -63,7 +63,8 @@ def lambda_term(g, sp, st, i, j, r):
 
     f_ij is read from the kernel's flow array at PARAMS' alpha = 4*s_max.
     """
-    flow, _ = _flow_array(g, sp, st, PARAMS)
+    kernel = RoundKernel(g, sp, PARAMS)
+    flow = kernel.flows(st, kernel.triggers(st))
     alpha = 4.0 * float(sp.s_max)
     dij = max(g.degrees[i], g.degrees[j])
     inv_i, inv_j = 1.0 / float(sp.speeds[i]), 1.0 / float(sp.speeds[j])

@@ -22,11 +22,10 @@ from netbalance.potentials import (
 from netbalance.protocol import (
     LoadState,
     ProtocolParams,
+    RoundKernel,
     non_nash_edges,
-    round_kernel,
     step_round_totals,
 )
-from netbalance.protocol import _per_task_probability_array
 from netbalance.rng import STREAM_ROUND, generator_from_prefix, key_prefix
 from netbalance.spectral import SpeedProfile
 
@@ -97,7 +96,8 @@ def reference_weighted_step(g, sp, state, params, round_index):
     appends arrivals in (source node, slot) order.
     """
     tasks = state.to_payload()["tasks"]
-    prob, _ = _per_task_probability_array(g, sp, state, params)
+    kernel = RoundKernel(g, sp, params)
+    prob = kernel.probabilities(state, kernel.triggers(state))
     active = {i for i, _ in non_nash_edges(g, sp, state)}
     gen = generator_from_prefix(key_prefix(params.rng_seed, STREAM_ROUND), round_index)
     rows = {}
@@ -156,7 +156,8 @@ def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed)
     printed = printed and state.weights is not None
     params = ProtocolParams(rng_seed=0, alpha=4 * sp.s_max * factor,
                             printed_weighted_rule=printed)
-    prob, _ = _per_task_probability_array(g, sp, state, params)
+    kernel = RoundKernel(g, sp, params)
+    prob = kernel.probabilities(state, kernel.triggers(state))
     for i, j in g.directed_edges():
         assert prob[helpers.edge_index(g, i, j)] <= 1 / 8
 
@@ -186,7 +187,7 @@ def stacks(draw, max_rows=5):
 def test_no_task_crosses_rows(inst, seed, r, alpha_factor, data):
     g, sp, states = inst
     params = ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor)
-    kernel = round_kernel(g, sp, params)
+    kernel = RoundKernel(g, sp, params)
     held = np.array(data.draw(st.lists(st.booleans(), min_size=len(states),
                                        max_size=len(states))))
     stack = LoadState.stack(states)

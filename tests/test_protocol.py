@@ -11,6 +11,7 @@ from netbalance.graphs import make_graph
 from netbalance.protocol import (
     LoadState,
     ProtocolParams,
+    RoundKernel,
     all_on_one_state,
     default_alpha,
     exact_ne_alpha,
@@ -25,7 +26,6 @@ from netbalance.protocol import (
     weighted_near_balanced,
     weighted_random_placement,
 )
-from netbalance.protocol import _flow_array, _per_task_probability_array
 from netbalance.spectral import SpeedProfile
 
 import helpers
@@ -41,13 +41,15 @@ def params(seed=1, **kw):
 
 def migration_probability(g, sp, st, pp, i, j):
     """p_e of directed edge (i, j), read from the kernel's per-task probability array."""
-    prob, _ = _per_task_probability_array(g, sp, st, pp)
+    kernel = RoundKernel(g, sp, pp)
+    prob = kernel.probabilities(st, kernel.triggers(st))
     return float(prob[helpers.edge_index(g, i, j)])
 
 
 def expected_flow(g, sp, st, pp, i, j):
     """f_e, the expected weight moving over directed edge (i, j), from the flow array."""
-    flow, _ = _flow_array(g, sp, st, pp)
+    kernel = RoundKernel(g, sp, pp)
+    flow = kernel.flows(st, kernel.triggers(st))
     return float(flow[helpers.edge_index(g, i, j)])
 
 
@@ -168,6 +170,20 @@ def test_step_round_deterministic():
     assert isinstance(c_state, LoadState)
     # The move count is the number of tasks that left node 0.
     assert a_moves == 9 - a_state.counts[0]
+
+
+def test_kernel_steps_stacks_of_changing_height():
+    # A kernel keeps the edge arrays of the last stack height it stepped;
+    # stepping other heights in turn draws what a fresh kernel draws.
+    sp = SpeedProfile.from_rationals([1, 2, 1, 3])
+    kernel = RoundKernel(C4, sp, params(seed=3, alpha=2))
+    ws = random_task_weights(30, 2)
+    for r, rows in enumerate((2, 3, 1, 3)):
+        stack = LoadState.stack([weighted_all_on_one(ws, 4, t % 4) for t in range(rows)])
+        got, moves = kernel.step(stack, r)
+        want, want_moves = RoundKernel(C4, sp, params(seed=3, alpha=2)).step(stack, r)
+        assert got == want and moves.tolist() == want_moves.tolist()
+        assert moves.any()
 
 
 def test_step_round_conserves_weight():
