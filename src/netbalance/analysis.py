@@ -50,7 +50,9 @@ from .protocol import (
     exact_ne_alpha,
     is_approx_nash,
     is_nash,
+    non_nash_edges,
     step_round_totals,  # noqa: F401 - a perfbench tracer target; trials step via RoundKernel
+    triggers,
 )
 from .rng import STREAM_TRIAL, derive_seed
 from .spectral import SpeedProfile, lambda2_of
@@ -141,7 +143,7 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     def observe(round_index: int) -> np.ndarray:
         """Record hits at `round_index`, retire the rows whose stop fired,
         and return the state's trigger mask."""
-        trig = kernel.triggers(state)
+        trig = triggers(g, sp, state)
         open_psi = running & (hit_psi == none)
         if open_psi.any():
             hit_psi[open_psi & (psi0_value(sp, state) <= psi_threshold)] = round_index
@@ -442,12 +444,13 @@ def _granularity_checks(case: CorpusCase, tol) -> list[LemmaCheck]:
     g, sp, state = case.graph, case.speeds, case.state
     eps = sp.granularity
     loads = [Fraction(c) / s for c, s in zip(state.counts.tolist(), sp.speeds)]
+    moving = non_nash_edges(g, sp, state)
     checks = []
     worst = None
     for i, j in g.directed_edges():
-        gap = loads[i] - loads[j]
-        if gap <= Fraction(1) / sp.speeds[j]:
+        if (i, j) not in moving:
             continue
+        gap = loads[i] - loads[j]
         needed = Fraction(1) / sp.speeds[j] + eps / (sp.speeds[i] * sp.speeds[j])
         margin = gap - needed
         if worst is None or margin < worst[0]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,38 +100,16 @@ def _ser_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-#: key -> (attribute, parse, serialize); order fixes the key order of the
-#: config block that `run` writes to summary.json.
-CONFIG_KEYS = {
-    "graph.family": ("graph_family", str, str),
-    "graph.n": ("graph_n", int, str),
-    "graph.rows": ("graph_rows", int, str),
-    "graph.cols": ("graph_cols", int, str),
-    "graph.dim": ("graph_dim", int, str),
-    "graph.edge_list": ("graph_edge_list", str, str),
-    "speeds.mode": ("speeds_mode", str, str),
-    "speeds.values": ("speeds_values", str, str),
-    "speeds.max": ("speeds_max", int, str),
-    "speeds.seed": ("speeds_seed", int, str),
-    "tasks.mode": ("tasks_mode", str, str),
-    "tasks.count": ("tasks_count", int, str),
-    "tasks.placement": ("tasks_placement", str, str),
-    "tasks.node": ("tasks_node", int, str),
-    "tasks.counts": ("tasks_counts", str, str),
-    "tasks.weights": ("tasks_weights", str, str),
-    "tasks.seed": ("tasks_seed", int, str),
-    "protocol.alpha": ("protocol_alpha", Fraction, str),
-    "protocol.eps": ("protocol_eps", float, fmt17),
-    "protocol.psi_constant": ("protocol_psi_constant", int, str),
-    "protocol.printed_rule": ("protocol_printed_rule", _parse_bool, _ser_bool),
-    "run.trials": ("run_trials", int, str),
-    "run.round_cap": ("run_round_cap", int, str),
-    "run.stop": ("run_stop", str, str),
-    "run.rounds": ("run_rounds", int, str),
-    "run.master_seed": ("run_master_seed", int, str),
-    "output.directory": ("output_directory", str, str),
-    "output.trace": ("output_trace", _parse_bool, _ser_bool),
-}
+#: (parse, serialize) per field type, `| None` aside.
+_CODECS = {"str": (str, str), "int": (int, str), "Fraction": (Fraction, str),
+           "float": (float, fmt17), "bool": (_parse_bool, _ser_bool)}
+
+#: key -> (attribute, parse, serialize). A key is its field's name with the
+#: first "_" as "."; field order fixes the key order of the config block that
+#: `run` writes to summary.json.
+CONFIG_KEYS = {f.name.replace("_", ".", 1): (f.name, *_CODECS[f.type.removesuffix(" | None")])
+               for f in fields(ExperimentConfig)}
+
 
 def parse_config(text: str) -> ExperimentConfig:
     values = {}

@@ -17,10 +17,13 @@ variance var_k are exact, and
     E[drop psi1] = E[drop psi0] - sum_k mu_k / s_k.
 
 One moments pass (`node_change_moments`) serves both task modes; the drop
-assemblers are functions of its result. Exactness is set by the number type
-of the pass's inputs: unit tasks give Python ints against Fraction speeds and
-alpha, so the oracles return exact Fractions; weighted tasks give floats, and
-the same closed form runs in floating point.
+assemblers are functions of its result. It visits only the edges that
+`protocol.triggers` marks, in the graph's edge-array order, and reads d_ij
+from those arrays, so the oracles and the round agree on every edge by
+construction. Exactness is set by the number type of the pass's inputs: unit
+tasks give Python ints against Fraction speeds and alpha, so the oracles
+return exact Fractions; weighted tasks give floats, and the same closed form
+runs in floating point.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .protocol import (
     RoundKernel,
     check_printed_rule,
     resolve_alpha,
+    triggers,
 )
 from .spectral import SpeedProfile, lambda2_of
 
@@ -131,11 +135,12 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
                         params: ProtocolParams) -> NodeMoments:
     """Exact mean and variance of the net weight change per node, one round.
 
-    One pass over the per-node inputs (W_i, sum of w^2 on i, 1/s_i, alpha);
-    their number type sets the exactness. Unit tasks feed Python ints against
-    Fraction speeds and alpha, so every value is an exact Fraction. Weighted
-    tasks feed floats, and loads are the products W_i * (1/s_i) that the
-    round kernel compares, so both trigger on the same edges.
+    One pass over the triggered directed edges (`protocol.triggers`) with the
+    per-node inputs (W_i, sum of w^2 on i, 1/s_i, alpha); their number type
+    sets the exactness. Unit tasks feed Python ints against Fraction speeds
+    and alpha, so every value is an exact Fraction; a state past the exact
+    trigger's int64 guard is a ConfigError. Weighted tasks feed floats, and
+    loads are the products W_i * (1/s_i) that the trigger compares.
     """
     check_printed_rule(params, state.weights is None)
     alpha = resolve_alpha(params, sp)
@@ -160,24 +165,22 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     mu = [zero] * n
     var = [zero] * n
     out_q = [zero] * n
-    for i in range(n):
-        deg_i = g.degrees[i]
-        for j in g.neighbors[i]:
-            gap = loads[i] - loads[j]
-            if gap <= inv[j]:
-                continue
-            dij = max(deg_i, g.degrees[j])
-            if params.printed_weighted_rule:
-                p = (w[i] - w[j]) * deg_i / (2 * alpha * dij * w[i])
-            else:
-                p = gap * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
-            # Mirror the kernel's clamp of the migration probability to [0, 1].
-            p = min(max(p, zero), one)
-            q = p / deg_i   # per-task chance of ending on j; w[i] > 0 on triggered edges
-            mu[i] -= w[i] * q
-            mu[j] += w[i] * q
-            var[j] += sq[i] * q * (1 - q)
-            out_q[i] += q
+    ev = g.edge_arrays
+    idx = np.flatnonzero(triggers(g, sp, state))
+    src = ev.src[idx]
+    for i, j, dij, deg_i in zip(src.tolist(), ev.dst[idx].tolist(), ev.dij[idx].tolist(),
+                                ev.deg[src].tolist()):
+        if params.printed_weighted_rule:
+            p = (w[i] - w[j]) * deg_i / (2 * alpha * dij * w[i])
+        else:
+            p = (loads[i] - loads[j]) * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
+        # Mirror the kernel's clamp of the migration probability to [0, 1].
+        p = min(max(p, zero), one)
+        q = p / deg_i   # per-task chance of ending on j; w[i] > 0 on triggered edges
+        mu[i] -= w[i] * q
+        mu[j] += w[i] * q
+        var[j] += sq[i] * q * (1 - q)
+        out_q[i] += q
     for i in range(n):
         var[i] += sq[i] * out_q[i] * (1 - out_q[i])
     return NodeMoments(mu, var, e, inv)
@@ -223,7 +226,7 @@ def variance_bound(g: GraphTopology, sp: SpeedProfile, state: LoadState,
                    params: ProtocolParams) -> float:
     """sum over non-Nash directed edges of f_ij * (1/s_i + 1/s_j)."""
     kernel = RoundKernel(g, sp, params)
-    trig = kernel.triggers(state)
+    trig = triggers(g, sp, state)
     flow = kernel.flows(state, trig)
     ev, inv = kernel.edges, kernel.inv
     idx = np.flatnonzero(trig)
@@ -236,10 +239,11 @@ def drop_quadratic_bound(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     alpha = float(resolve_alpha(params, sp))
     inv = sp.inv_floats
     loads = state.loads(sp)
+    ev = g.edge_arrays
+    up = ev.src < ev.dst    # each edge once, in `g.edges` order
     total = 0.0
-    for u, v in g.edges:
+    for u, v, dij in zip(ev.src[up].tolist(), ev.dst[up].tolist(), ev.dij[up].tolist()):
         gap = loads[u] - loads[v]
-        dij = max(g.degrees[u], g.degrees[v])
         total += (1.0 - 2.0 / alpha) * gap * gap / (alpha * dij * (inv[u] + inv[v]))
     return total - g.node_count / alpha
 

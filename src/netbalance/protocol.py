@@ -28,12 +28,13 @@ shared by the rows, which draw in flat node order, row 0 first; a row whose
 triggers the caller clears draws nothing and stays as it is. A bare state
 draws exactly what the one-row stack of it draws.
 
-Derived arrays live on the objects that own their inputs, not in
-module-level caches. The graph holds its directed-edge arrays
-(`GraphTopology.edge_arrays`); a `RoundKernel` holds the rest of what the
-rounds of a run share (speed multipliers, alpha, per-edge denominators, the
-round stream's key, the edge arrays of the stack it steps). A run builds one
-kernel; `step_round_totals`, `is_nash` and `non_nash_edges` build one per call.
+One function, `triggers`, decides which directed edges trigger; the round,
+the equilibrium predicates and the oracles all read its mask. Derived arrays
+live on the objects that own their inputs, not in module-level caches: the
+graph holds its edge arrays, the speed profile its int64 multipliers and
+inverse speeds, and a `RoundKernel` what depends on alpha and the seed
+(per-edge denominators, the round stream's key) with the edge arrays of the
+stack it steps. A run builds one kernel; `step_round_totals` one per call.
 """
 
 from __future__ import annotations
@@ -242,11 +243,34 @@ def resolve_alpha(params: ProtocolParams, sp: SpeedProfile) -> Fraction:
     return Fraction(params.alpha)
 
 
+def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray:
+    """Directed-edge mask, in `g.edge_arrays` order (per row for a stack), of
+    the strict migration condition l_i - l_j > 1/s_j.
+
+    Every question of which edges trigger is answered here. Unit tasks compare
+    exactly, on int64 cross products w_i*n_j - w_j*n_i > n_i with s_i = n_i*eps,
+    and raise ConfigError where those could overflow. Weighted tasks compare
+    the float loads W_i * (1/s_i); ties resolve to "no move".
+    """
+    if sp.n != g.node_count:
+        raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
+    ev = g.edge_arrays
+    if state.weights is None:
+        w, mult = state.counts, sp.int_multipliers
+        if w.size and int(w.max()) * (int(mult.max()) + 1) >= _INT_GUARD:
+            raise ConfigError("task counts too large for exact 64-bit comparisons")
+        return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > mult[ev.src]
+    inv = sp.inv_floats
+    loads = state.node_weights() * inv
+    return loads[..., ev.src] - loads[..., ev.dst] > inv[ev.dst]
+
+
 class RoundKernel:
-    """What every round of a run shares: the graph's edge arrays, the speed
-    multipliers, alpha and the per-edge denominators, resolved once, and the
-    key of the run's round stream. Every method takes a state or a stack of
-    rows; the edge arrays of T stacked copies are kept for the last T stepped.
+    """What every round of a run shares that depends on alpha and the seed:
+    alpha and the per-edge denominators, resolved once, and the key of the
+    run's round stream. Every method takes a state or a stack of rows and
+    that state's trigger mask (`triggers`); the edge arrays of T stacked
+    copies are kept for the last T stepped.
     """
 
     def __init__(self, g: GraphTopology, sp: SpeedProfile, params: ProtocolParams):
@@ -254,25 +278,11 @@ class RoundKernel:
             raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
         self.params = params
         self.edges = ev = g.edge_arrays
-        self.mult = np.array(sp.multipliers, dtype=np.int64)
         self.inv = sp.inv_floats
         self.alpha = float(resolve_alpha(params, sp))
         self.denom = self.alpha * ev.dij * (self.inv[ev.src] + self.inv[ev.dst])
         self.stream = key_prefix(params.rng_seed, STREAM_ROUND)
         self._stacked = (1, ev)     # (T, edge arrays of T copies of the graph)
-
-    def triggers(self, state: LoadState) -> np.ndarray:
-        """Directed-edge mask (per row for a stack) of the strict migration
-        condition l_i - l_j > 1/s_j."""
-        ev, mult = self.edges, self.mult
-        if state.weights is None:
-            # Exact: w_i*n_j - w_j*n_i > n_i with s_i = n_i * eps.
-            w = state.counts
-            if w.size and int(w.max()) * int(mult.max() + 1) >= _INT_GUARD:
-                raise ConfigError("task counts too large for exact 64-bit comparisons")
-            return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > mult[ev.src]
-        loads = state.node_weights() * self.inv
-        return loads[..., ev.src] - loads[..., ev.dst] > self.inv[ev.dst]
 
     def flows(self, state: LoadState, trig: np.ndarray) -> np.ndarray:
         """Expected flow f_e = (l_i - l_j) / (alpha*d_ij*(1/s_i + 1/s_j)) on triggered edges."""
@@ -298,15 +308,13 @@ class RoundKernel:
         return np.divide(self.flows(state, trig) * ev.deg[ev.src], weights[..., ev.src],
                          out=out, where=trig)
 
-    def step(self, state: LoadState, round_index: int, trig: np.ndarray | None = None):
+    def step(self, state: LoadState, round_index: int, trig: np.ndarray):
         """One round of every row; see `step_round_totals`.
 
-        trig is the state's trigger mask when the caller has it; clearing a
-        row's entries holds that row: it draws nothing and stays as it is.
+        trig is the state's trigger mask; clearing a row's entries holds that
+        row: it draws nothing and stays as it is.
         """
         check_printed_rule(self.params, state.weights is None)
-        if trig is None:
-            trig = self.triggers(state)
         rows = state.counts.shape[:-1]
         idle = np.zeros(rows, dtype=np.int64) if rows else 0
         if not trig.any():
@@ -330,16 +338,13 @@ class RoundKernel:
         return new, moved.reshape(*rows, -1).sum(axis=-1) if rows else total
 
 
-#: Parameters for a kernel that only tests triggers, which read neither the
-#: seed nor alpha.
-_TRIGGER_PARAMS = ProtocolParams(rng_seed=0)
-
-
 def non_nash_edges(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> set:
-    """Directed edges with positive expected flow: l_i - l_j > 1/s_j, exactly."""
-    kernel = RoundKernel(g, sp, _TRIGGER_PARAMS)
-    ev = kernel.edges
-    return {(int(ev.src[e]), int(ev.dst[e])) for e in np.flatnonzero(kernel.triggers(state))}
+    """Directed edges (i, j) of one state with positive expected flow: its triggers."""
+    if state.stacked:
+        raise ConfigError("non_nash_edges takes one state, not a stack")
+    ev = g.edge_arrays
+    idx = np.flatnonzero(triggers(g, sp, state))
+    return set(zip(ev.src[idx].tolist(), ev.dst[idx].tolist()))
 
 
 def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState):
@@ -349,7 +354,7 @@ def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState):
     Algorithm 2 (l_i - l_j <= 1/s_j on all edges), which is not necessarily a
     per-task Nash equilibrium.
     """
-    nash = ~RoundKernel(g, sp, _TRIGGER_PARAMS).triggers(state).any(axis=-1)
+    nash = ~triggers(g, sp, state).any(axis=-1)
     return nash if state.stacked else bool(nash)
 
 
@@ -388,7 +393,7 @@ def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     rows in order, no task crosses rows, and the moves come back per row.
     Rounds of one run should share one `RoundKernel` and call its `step`.
     """
-    return RoundKernel(g, sp, params).step(state, round_index)
+    return RoundKernel(g, sp, params).step(state, round_index, triggers(g, sp, state))
 
 
 def _moved_per_edge(ev: EdgeArrays, counts, prob, trig, gen) -> np.ndarray:

@@ -158,6 +158,15 @@ class SpeedProfile:
         return self._granularity_pair[1]
 
     @cached_property
+    def int_multipliers(self) -> np.ndarray:
+        """The multipliers as int64, for exact unit-task load comparisons."""
+        if max(self.multipliers) >= 1 << 63:
+            raise ConfigError("speed multipliers too large for 64-bit integers")
+        arr = np.array(self.multipliers, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
     def floats(self) -> np.ndarray:
         arr = np.array([float(s) for s in self.speeds])
         arr.setflags(write=False)

@@ -287,6 +287,19 @@ def test_exact_ne_alpha_default_for_unit_tasks(tmp_path):
     assert json.loads((tmp_path / "w" / "summary.json").read_text())["alpha"] == "6"
 
 
+def test_speed_multipliers_past_int64_are_config_errors(tmp_path):
+    # s_1 = 1 + 10^-20 makes the speed multipliers about 10^20, too large for
+    # the exact unit-task trigger; weighted tasks compare floats and never
+    # need them.
+    base = ("graph.family = cycle\ngraph.n = 4\nspeeds.mode = explicit\n"
+            "speeds.values = 1,100000000000000000001/100000000000000000000,1,1\n"
+            "tasks.count = 8\nrun.stop = fixed-rounds\nrun.rounds = 2\nrun.master_seed = 1\n")
+    unit = write_config(tmp_path, base, "unit.cfg")
+    assert main(["run", str(unit)]) == EXIT_CONFIG
+    weighted = write_config(tmp_path, base + "tasks.mode = weighted-random\n", "weighted.cfg")
+    assert main(["run", str(weighted)]) == EXIT_OK
+
+
 def test_malformed_task_counts_are_config_errors(tmp_path):
     bad = BASIC_CONFIG.replace("tasks.counts = 4,0", "tasks.counts = 4,x")
     assert main(["run", str(write_config(tmp_path, bad))]) == EXIT_CONFIG

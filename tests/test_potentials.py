@@ -27,6 +27,7 @@ from netbalance.protocol import (
     RoundKernel,
     random_task_weights,
     step_round_totals,
+    triggers,
     weighted_all_on_one,
 )
 from netbalance.spectral import SpeedProfile
@@ -64,7 +65,7 @@ def lambda_term(g, sp, st, i, j, r):
     f_ij is read from the kernel's flow array at PARAMS' alpha = 4*s_max.
     """
     kernel = RoundKernel(g, sp, PARAMS)
-    flow = kernel.flows(st, kernel.triggers(st))
+    flow = kernel.flows(st, triggers(g, sp, st))
     alpha = 4.0 * float(sp.s_max)
     dij = max(g.degrees[i], g.degrees[j])
     inv_i, inv_j = 1.0 / float(sp.speeds[i]), 1.0 / float(sp.speeds[j])
@@ -248,3 +249,10 @@ def test_moments_reject_printed_rule_on_unit_tasks():
         node_change_moments(K2, UNI2, LoadState.uniform((2, 0)), printed)
     moments = node_change_moments(K2, UNI2, weighted_all_on_one([1.0, 0.9, 0.8], 2), printed)
     assert moments.mu[1] > 0
+
+
+def test_moments_reject_unit_states_past_the_int_guard():
+    # The moments pass reads the round's exact trigger, so a state whose
+    # cross products could overflow int64 is refused, as the round refuses it.
+    with pytest.raises(ConfigError, match="64-bit"):
+        node_change_moments(K2, UNI2, LoadState.uniform((2**61, 0)), PARAMS)

@@ -1,8 +1,8 @@
 """Invariants of one round as properties over random tiny states.
 
-Instances: K2, P3 and C4 with speeds 1,2 or 1,3/2 repeated along the nodes,
-unit or weighted tasks, bare or stacked as the rows of one state, any seed
-and round index. Every property is a theorem about the protocol or its
+Instances: K2, P3 and C4 with speeds 1,2 or 1,3/2 repeated along the nodes
+(random rationals for the trigger property), unit or weighted tasks, bare or
+stacked as the rows of one state, any seed and round index. Every property is a theorem about the protocol or its
 implementation, so any counterexample is a bug.
 """
 
@@ -25,6 +25,7 @@ from netbalance.protocol import (
     RoundKernel,
     non_nash_edges,
     step_round_totals,
+    triggers,
 )
 from netbalance.rng import STREAM_ROUND, generator_from_prefix, key_prefix
 from netbalance.spectral import SpeedProfile
@@ -97,7 +98,7 @@ def reference_weighted_step(g, sp, state, params, round_index):
     """
     tasks = state.to_payload()["tasks"]
     kernel = RoundKernel(g, sp, params)
-    prob = kernel.probabilities(state, kernel.triggers(state))
+    prob = kernel.probabilities(state, triggers(g, sp, state))
     active = {i for i, _ in non_nash_edges(g, sp, state)}
     gen = generator_from_prefix(key_prefix(params.rng_seed, STREAM_ROUND), round_index)
     rows = {}
@@ -150,6 +151,21 @@ def test_weighted_step_matches_loop_reference(inst, seed, r, printed, alpha_fact
 
 
 @PROPERTY
+@given(st.sampled_from(GRAPHS), st.integers(0, 2**32 - 1), st.data())
+def test_triggers_match_the_exact_condition(g, speed_seed, data):
+    # The one trigger mask is l_i - l_j > 1/s_j in Fractions, edge by edge.
+    n = g.node_count
+    sp = SpeedProfile.from_rationals(
+        helpers.random_rational_speeds(np.random.default_rng(speed_seed), n))
+    counts = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    mask = triggers(g, sp, LoadState.uniform(counts))
+    loads = [c / s for c, s in zip(counts, sp.speeds)]
+    ev = g.edge_arrays
+    for e, (i, j) in enumerate(zip(ev.src.tolist(), ev.dst.tolist())):
+        assert mask[e] == (loads[i] - loads[j] > 1 / sp.speeds[j])
+
+
+@PROPERTY
 @given(instances(), st.fractions(min_value=1, max_value=8, max_denominator=8), st.booleans())
 def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed):
     g, sp, state = inst
@@ -157,7 +173,7 @@ def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed)
     params = ProtocolParams(rng_seed=0, alpha=4 * sp.s_max * factor,
                             printed_weighted_rule=printed)
     kernel = RoundKernel(g, sp, params)
-    prob = kernel.probabilities(state, kernel.triggers(state))
+    prob = kernel.probabilities(state, triggers(g, sp, state))
     for i, j in g.directed_edges():
         assert prob[helpers.edge_index(g, i, j)] <= 1 / 8
 
@@ -192,7 +208,7 @@ def test_no_task_crosses_rows(inst, seed, r, alpha_factor, data):
                                        max_size=len(states))))
     stack = LoadState.stack(states)
     for k in range(3):
-        trig = kernel.triggers(stack)
+        trig = triggers(g, sp, stack)
         trig[held] = False
         stack, moves = kernel.step(stack, r + k, trig)
         assert moves.shape == (len(states),) and not moves[held].any()

@@ -22,6 +22,7 @@ from netbalance.protocol import (
     random_placement_state,
     random_task_weights,
     step_round_totals,
+    triggers,
     weighted_all_on_one,
     weighted_near_balanced,
     weighted_random_placement,
@@ -42,14 +43,14 @@ def params(seed=1, **kw):
 def migration_probability(g, sp, st, pp, i, j):
     """p_e of directed edge (i, j), read from the kernel's per-task probability array."""
     kernel = RoundKernel(g, sp, pp)
-    prob = kernel.probabilities(st, kernel.triggers(st))
+    prob = kernel.probabilities(st, triggers(g, sp, st))
     return float(prob[helpers.edge_index(g, i, j)])
 
 
 def expected_flow(g, sp, st, pp, i, j):
     """f_e, the expected weight moving over directed edge (i, j), from the flow array."""
     kernel = RoundKernel(g, sp, pp)
-    flow = kernel.flows(st, kernel.triggers(st))
+    flow = kernel.flows(st, triggers(g, sp, st))
     return float(flow[helpers.edge_index(g, i, j)])
 
 
@@ -121,6 +122,22 @@ def test_non_nash_exactness_with_rational_speeds():
     assert (0, 1) in non_nash_edges(C4, sp, st2)
 
 
+def test_int_guard_adds_without_wrapping():
+    # Multipliers 2^63 - 2 and 2^63 - 1 fit int64 but their max plus one does
+    # not; 3 - 0 > 1/s_1 holds, so the predicates must refuse, not answer.
+    sp = SpeedProfile.from_rationals([1, Fraction(2**63 - 1, 2**63 - 2)])
+    assert sp.multipliers == (2**63 - 2, 2**63 - 1)
+    for predicate in (is_nash, non_nash_edges):
+        with pytest.raises(ConfigError, match="64-bit"):
+            predicate(K2, sp, LoadState.uniform((3, 0)))
+
+
+def test_non_nash_edges_rejects_stacks():
+    stack = LoadState.stack([LoadState.uniform((0, 0, 0, 0)), LoadState.uniform((9, 0, 0, 0))])
+    with pytest.raises(ConfigError, match="stack"):
+        non_nash_edges(C4, SpeedProfile.uniform(4), stack)
+
+
 def test_is_nash_examples():
     sp = SpeedProfile.from_rationals([2, 1])
     assert is_nash(K2, sp, LoadState.uniform((4, 1)))
@@ -180,8 +197,9 @@ def test_kernel_steps_stacks_of_changing_height():
     ws = random_task_weights(30, 2)
     for r, rows in enumerate((2, 3, 1, 3)):
         stack = LoadState.stack([weighted_all_on_one(ws, 4, t % 4) for t in range(rows)])
-        got, moves = kernel.step(stack, r)
-        want, want_moves = RoundKernel(C4, sp, params(seed=3, alpha=2)).step(stack, r)
+        got, moves = kernel.step(stack, r, triggers(C4, sp, stack))
+        want, want_moves = RoundKernel(C4, sp, params(seed=3, alpha=2)).step(
+            stack, r, triggers(C4, sp, stack))
         assert got == want and moves.tolist() == want_moves.tolist()
         assert moves.any()
 
