@@ -375,7 +375,9 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
     params = ProtocolParams(rng_seed=0, alpha=default_alpha(sp))
     lam2 = lambda2_of(g)
     # Looked up on the module, so wrappers installed there see every pass.
-    moments = potentials.node_change_moments(g, sp, state, params)
+    # Both passes (this alpha and exact_ne_alpha below) share one set of inputs.
+    inputs = potentials.moment_inputs(g, sp, state)
+    moments = potentials.node_change_moments(g, sp, state, params, inputs)
 
     drop0 = float(exact_expected_psi0_drop(moments))
     checks.append(_ge("drop-quadratic", case.name, drop0,
@@ -404,7 +406,7 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
         if not is_nash(g, sp, state):
             exact_params = dataclasses.replace(params, alpha=exact_ne_alpha(sp))
             drop1 = float(exact_expected_psi1_drop(
-                potentials.node_change_moments(g, sp, state, exact_params)))
+                potentials.node_change_moments(g, sp, state, exact_params, inputs)))
             floor = psi1_drop_floor(g, sp)
             checks.append(_ge("psi1-drop-floor", case.name, drop1, floor, tol, state))
             # Supermartingale restatement: psi1 - drop + floor <= psi1.

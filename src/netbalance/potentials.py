@@ -131,20 +131,29 @@ class NodeMoments(NamedTuple):
     inv: list
 
 
-def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                        params: ProtocolParams) -> NodeMoments:
-    """Exact mean and variance of the net weight change per node, one round.
+class MomentInputs(NamedTuple):
+    """What a moments pass reads that does not depend on alpha, per node
+    (W_i, sum of w^2 on i, 1/s_i, e_i, l_i) and per triggered directed edge
+    (i, j, d_ij, deg(i)), in the number type that sets the pass's exactness."""
 
-    One pass over the triggered directed edges (`protocol.triggers`) with the
-    per-node inputs (W_i, sum of w^2 on i, 1/s_i, alpha); their number type
-    sets the exactness. Unit tasks feed Python ints against Fraction speeds
-    and alpha, so every value is an exact Fraction; a state past the exact
-    trigger's int64 guard is a ConfigError. Weighted tasks feed floats, and
-    loads are the products W_i * (1/s_i) that the trigger compares.
+    w: list
+    sq: list
+    inv: list
+    deviations: list
+    loads: list
+    edges: list
+    zero: Fraction | float
+
+
+def moment_inputs(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> MomentInputs:
+    """The alpha-free inputs of `node_change_moments`, built once per state.
+
+    Unit tasks give Python ints against Fraction speeds, so every later value
+    is an exact Fraction; a state past the exact trigger's int64 guard is a
+    ConfigError. Weighted tasks give floats, and loads are the products
+    W_i * (1/s_i) that the trigger compares.
     """
-    check_printed_rule(params, state.weights is None)
-    alpha = resolve_alpha(params, sp)
-    if state.weights is None:
+    if state.tasks is None:
         w = state.counts.tolist()   # Python ints: no numpy scalar meets a Fraction
         sq = w
         inv = [1 / s for s in sp.speeds]
@@ -153,23 +162,41 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
         zero = Fraction(0)
     else:
         w = state.node_weights().tolist()
-        sq = np.bincount(state.owner, weights=state.weights * state.weights,
-                         minlength=state.n).tolist()
+        sq = state.node_sums(2).tolist()
         inv = sp.inv_floats.tolist()
         e = state.deviations(sp).tolist()
-        alpha = float(alpha)
         zero = 0.0
+    ev = g.edge_arrays
+    idx = np.flatnonzero(triggers(g, sp, state))
+    src = ev.src[idx]
+    edges = list(zip(src.tolist(), ev.dst[idx].tolist(), ev.dij[idx].tolist(),
+                     ev.deg[src].tolist()))
+    return MomentInputs(w, sq, inv, e, [wi * vi for wi, vi in zip(w, inv)], edges, zero)
+
+
+def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
+                        params: ProtocolParams,
+                        inputs: MomentInputs | None = None) -> NodeMoments:
+    """Exact mean and variance of the net weight change per node, one round.
+
+    One pass over the triggered directed edges (`protocol.triggers`) with the
+    per-node inputs (W_i, sum of w^2 on i, 1/s_i) and alpha; their number
+    type sets the exactness (`moment_inputs`). Passes over one state at
+    several alphas can share its inputs.
+    """
+    check_printed_rule(params, state.tasks is None)
+    if inputs is None:
+        inputs = moment_inputs(g, sp, state)
+    w, sq, inv, _, loads, _, zero = inputs
+    alpha = resolve_alpha(params, sp)
+    if state.tasks is not None:
+        alpha = float(alpha)
     one = zero + 1   # typed: clamping to a bare int 1 would make q = 1 / deg_i a float
-    loads = [wi * vi for wi, vi in zip(w, inv)]
     n = g.node_count
     mu = [zero] * n
     var = [zero] * n
     out_q = [zero] * n
-    ev = g.edge_arrays
-    idx = np.flatnonzero(triggers(g, sp, state))
-    src = ev.src[idx]
-    for i, j, dij, deg_i in zip(src.tolist(), ev.dst[idx].tolist(), ev.dij[idx].tolist(),
-                                ev.deg[src].tolist()):
+    for i, j, dij, deg_i in inputs.edges:
         if params.printed_weighted_rule:
             p = (w[i] - w[j]) * deg_i / (2 * alpha * dij * w[i])
         else:
@@ -183,7 +210,7 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
         out_q[i] += q
     for i in range(n):
         var[i] += sq[i] * out_q[i] * (1 - out_q[i])
-    return NodeMoments(mu, var, e, inv)
+    return NodeMoments(mu, var, inputs.deviations, inv)
 
 
 def exact_expected_psi0_drop(m: NodeMoments):

@@ -9,16 +9,21 @@ probabilities are evaluated against the round-start state, and all of a
 round's draws come from one counter-based stream keyed by (seed, round), so
 any round can be reproduced on its own, whatever ran before it.
 
-A state is a per-node task count plus, for weighted tasks, one flat weight
-array grouped by node. A task's migration probability depends only on its
-edge and the round-start loads, never on its own weight, so the tasks on a
-node are exchangeable and every round draws counts first: one multinomial
-row over (move-to-neighbor..., stay) per node, the same draw in both modes.
-Unit tasks are anonymous, so that is the whole round; load comparisons are
-done exactly on cross-multiplied integers. Weighted tasks then draw which of
-a node's tasks leave, a uniform ordered sample of distinct tasks split over
+A state is a per-node task count plus, for weighted tasks, a task buffer:
+one float array of per-node blocks with slack (`TaskBuffer`), so a round
+writes only the slots its movers touch, and W_i is the fresh `reduceat` sum
+of node i's block. A task's migration probability depends only on its edge
+and the round-start loads, never on its own weight, so the tasks on a node
+are exchangeable and every round draws counts first: one multinomial row
+over (move-to-neighbor..., stay) per node, the same draw in both modes. Unit
+tasks are anonymous, so that is the whole round; load comparisons are done
+exactly on cross-multiplied integers. Weighted tasks then draw which of a
+node's tasks leave, a uniform ordered sample of distinct tasks split over
 its out-edges in order; comparisons are strict floating-point, and ties
-resolve to "no move".
+resolve to "no move". A mover's hole is filled by its node's last staying
+task and arrivals are appended (`_move_tasks`), so a weighted round costs
+one copy of the buffer, one block sum per node and work on the movers, not
+a pass over every task.
 
 Many states of one graph (the trials of a run, or independent rounds of one
 state) step together as the rows of a stack: T rows are one state of T
@@ -33,8 +38,9 @@ the equilibrium predicates and the oracles all read its mask. Derived arrays
 live on the objects that own their inputs, not in module-level caches: the
 graph holds its edge arrays, the speed profile its int64 multipliers and
 inverse speeds, and a `RoundKernel` what depends on alpha and the seed
-(per-edge denominators, the round stream's key) with the edge arrays of the
-stack it steps. A run builds one kernel; `step_round_totals` one per call.
+(per-edge denominators, the round stream's key and the one generator it
+re-keys for every round) with the edge arrays of the stack it steps. A run
+builds one kernel; `step_round_totals` one per call.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -65,33 +71,84 @@ MODE_WEIGHTED = "weighted"
 _INT_GUARD = 1 << 62
 
 
+class TaskBuffer(NamedTuple):
+    """Weighted tasks in per-node blocks with slack, in one float array.
+
+    Flat node i owns the block values[start[i] : start[i] + cap[i]] and keeps
+    its counts[i] tasks, in order, at the front of it; the rest of the block
+    is slack. Blocks with room are disjoint and may lie in any order; slots
+    in no block are dead. The last slot of values is in no block, so every
+    block end is a valid index for `np.add.reduceat`. Slots that hold no task
+    keep stale weights or 0, never read as tasks. The rows of a stack are
+    views of its buffer, each with its own blocks.
+    """
+
+    values: np.ndarray
+    start: np.ndarray
+    cap: np.ndarray
+
+    @classmethod
+    def packed(cls, weights: np.ndarray, counts: np.ndarray) -> "TaskBuffer":
+        """Gap-free weights grouped by flat node, each block exactly full."""
+        if len(weights) != counts.sum():
+            raise ConfigError("weighted state needs one weight per task")
+        values = np.zeros(len(weights) + 1)
+        values[:-1] = weights
+        return cls(values, counts.cumsum() - counts, counts)
+
+    def sums(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per-node sums of values over each node's tasks: one `np.add.reduceat`
+        over the block bounds, so each is a fresh pairwise sum of its block
+        (not left to right) that depends only on the block's contents, and 0
+        on an empty node.
+
+        The bounds go in ascending block order (zero-capacity blocks first at
+        a tie), so the gaps between blocks, whose sums are dropped, are each
+        summed once.
+        """
+        order = np.lexsort((self.cap, self.start))
+        bounds = np.empty(2 * len(order), dtype=np.int64)
+        bounds[0::2] = self.start[order]
+        bounds[1::2] = self.start[order] + counts[order]
+        out = np.zeros(len(counts))
+        if len(bounds):
+            out[order] = np.where(counts[order] > 0, np.add.reduceat(values, bounds)[0::2], 0.0)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class LoadState:
-    """Assignment of tasks to nodes, held in two arrays.
+    """Assignment of tasks to nodes: a count array and, for weighted tasks,
+    a task buffer.
 
-    counts[i] is the number of tasks on node i. weights is None for unit
-    tasks; for weighted tasks it is one flat array of every task weight,
-    grouped by node (node 0's tasks first). Unit tasks are the weighted case
-    with every weight 1, so W_i is counts[i] or the sum of node i's weights.
-    Both arrays are read-only; equality is by value.
+    counts[i] is the number of tasks on node i. tasks is None for unit tasks;
+    for weighted tasks it is a `TaskBuffer`: one float array of per-node
+    blocks with slack, its block starts and its block capacities, so a round
+    rewrites only the slots its movers touch. `weights` is the public view of
+    the tasks: every task weight, gap-free and grouped by node (node 0's tasks
+    first), None for unit tasks. It is built on first use; rounds never read
+    it, and neither slack nor block order ever shows in it, in `rows`,
+    `to_payload` or `==`. Unit tasks are the weighted case with every weight
+    1, so W_i is counts[i] or the sum of node i's weights. Every array is
+    read-only; equality is by value.
 
     A stack (`LoadState.stack`) holds T states of one graph as rows: counts
-    has shape (T, n), row t's node i is flat node t*n + i, and weights holds
-    the tasks of every flat node in that order. Per-node quantities then have
-    shape (T, n) and per-row ones shape (T,).
+    has shape (T, n), row t's node i is flat node t*n + i, and the task
+    buffer has one block per flat node, `weights` holding the tasks of every
+    flat node in that order. Per-node quantities then have shape (T, n) and
+    per-row ones shape (T,).
     """
 
     counts: np.ndarray
-    weights: np.ndarray | None = None
+    tasks: TaskBuffer | None = None
 
     def __post_init__(self):
         if (self.counts < 0).any():
             raise ConfigError("task counts must be non-negative")
-        if self.weights is not None and len(self.weights) != self.counts.sum():
-            raise ConfigError("weighted state needs one weight per task")
         self.counts.setflags(write=False)
-        if self.weights is not None:
-            self.weights.setflags(write=False)
+        if self.tasks is not None:
+            for array in self.tasks:
+                array.setflags(write=False)
 
     @classmethod
     def uniform(cls, counts: Iterable[int]) -> "LoadState":
@@ -114,39 +171,52 @@ class LoadState:
         bad = np.flatnonzero(~((weights > 0.0) & (weights <= 1.0)))
         if bad.size:
             raise ConfigError(f"task weight {weights[bad[0]]} outside (0, 1]")
-        return cls(np.array([len(node) for node in lists], dtype=np.int64), weights)
+        counts = np.array([len(node) for node in lists], dtype=np.int64)
+        return cls(counts, TaskBuffer.packed(weights, counts))
 
     @classmethod
     def stack(cls, states) -> "LoadState":
         """The given states of one graph as the rows of one stack, in order."""
         states = list(states)
-        if len({s.weights is None for s in states}) != 1:
+        if len({s.tasks is None for s in states}) != 1:
             raise ConfigError("a stack holds unit tasks or weighted tasks, not both")
         if len({s.counts.shape for s in states}) != 1 or states[0].stacked:
             raise ConfigError("stacked states must be unstacked and of one size")
         counts = np.stack([s.counts for s in states])
-        if states[0].weights is None:
+        if states[0].tasks is None:
             return cls(counts)
-        return cls(counts, np.concatenate([s.weights for s in states]))
+        weights = np.concatenate([s.weights for s in states])
+        return cls(counts, TaskBuffer.packed(weights, counts.ravel()))
 
     def rows(self) -> list["LoadState"]:
         """Every row of a stack as its own state (views, no copies)."""
-        if self.weights is None:
+        if self.tasks is None:
             return [LoadState(c) for c in self.counts]
-        ends = np.cumsum(self.counts.sum(axis=1))[:-1]
-        return [LoadState(c, w) for c, w in zip(self.counts, np.split(self.weights, ends))]
+        values, start, cap = self.tasks
+        n = self.n
+        return [LoadState(c, TaskBuffer(values, start[k:k + n], cap[k:k + n]))
+                for c, k in zip(self.counts, range(0, self.counts.size, n))]
 
     def __eq__(self, other):
         if not isinstance(other, LoadState):
             return NotImplemented
-        if (self.weights is None) != (other.weights is None):
+        if (self.tasks is None) != (other.tasks is None):
             return False
         return np.array_equal(self.counts, other.counts) and (
-            self.weights is None or np.array_equal(self.weights, other.weights))
+            self.tasks is None or np.array_equal(self.weights, other.weights))
+
+    @cached_property
+    def weights(self) -> np.ndarray | None:
+        """Every task weight, gap-free and grouped by (flat) node; None for unit tasks."""
+        if self.tasks is None:
+            return None
+        w = self.tasks.values[_block_slots(self.tasks.start, self.counts.ravel())]
+        w.setflags(write=False)
+        return w
 
     @property
     def mode(self) -> str:
-        return MODE_UNIFORM if self.weights is None else MODE_WEIGHTED
+        return MODE_UNIFORM if self.tasks is None else MODE_WEIGHTED
 
     @property
     def n(self) -> int:
@@ -160,18 +230,20 @@ class LoadState:
     def task_count(self) -> int:
         return int(self.counts.sum())
 
-    @cached_property
-    def owner(self) -> np.ndarray:
-        """The (flat) node of each entry of `weights`."""
-        return np.repeat(np.arange(self.counts.size), self.counts.ravel())
+    def node_sums(self, power: int = 1) -> np.ndarray:
+        """sum of w**power over each node's tasks as floats, shaped like counts.
+
+        Each is a fresh sum of the node's own block (`TaskBuffer.sums`), so no
+        error carries over from earlier rounds.
+        """
+        if self.tasks is None:
+            return self.counts.astype(float)
+        values = self.tasks.values if power == 1 else self.tasks.values ** power
+        return self.tasks.sums(self.counts.ravel(), values).reshape(self.counts.shape)
 
     @cached_property
     def _node_weights(self) -> np.ndarray:
-        if self.weights is None:
-            w = self.counts.astype(float)
-        else:
-            w = np.bincount(self.owner, weights=self.weights,
-                            minlength=self.counts.size).reshape(self.counts.shape)
+        w = self.node_sums()
         w.setflags(write=False)
         return w
 
@@ -194,8 +266,10 @@ class LoadState:
         return w - scale * sp.floats
 
     def to_payload(self) -> dict:
-        """JSON-compatible serialization (counterexample artifacts, configs)."""
-        if self.weights is None:
+        """JSON-compatible serialization of one state (counterexample artifacts, configs)."""
+        if self.stacked:
+            raise ConfigError("to_payload takes one state, not a stack")
+        if self.tasks is None:
             return {"mode": MODE_UNIFORM, "counts": self.counts.tolist()}
         per_node = np.split(self.weights, np.cumsum(self.counts)[:-1])
         return {"mode": MODE_WEIGHTED, "tasks": [t.tolist() for t in per_node]}
@@ -255,7 +329,7 @@ def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray
     if sp.n != g.node_count:
         raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
     ev = g.edge_arrays
-    if state.weights is None:
+    if state.tasks is None:
         w, mult = state.counts, sp.int_multipliers
         if w.size and int(w.max()) * (int(mult.max()) + 1) >= _INT_GUARD:
             raise ConfigError("task counts too large for exact 64-bit comparisons")
@@ -267,10 +341,11 @@ def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray
 
 class RoundKernel:
     """What every round of a run shares that depends on alpha and the seed:
-    alpha and the per-edge denominators, resolved once, and the key of the
-    run's round stream. Every method takes a state or a stack of rows and
-    that state's trigger mask (`triggers`); the edge arrays of T stacked
-    copies are kept for the last T stepped.
+    alpha and the per-edge denominators, resolved once, the key of the run's
+    round stream and the one generator it re-keys for each round. Every
+    method takes a state or a stack of rows and that state's trigger mask
+    (`triggers`); the edge arrays of T stacked copies are kept for the last
+    T stepped.
     """
 
     def __init__(self, g: GraphTopology, sp: SpeedProfile, params: ProtocolParams):
@@ -282,6 +357,7 @@ class RoundKernel:
         self.alpha = float(resolve_alpha(params, sp))
         self.denom = self.alpha * ev.dij * (self.inv[ev.src] + self.inv[ev.dst])
         self.stream = key_prefix(params.rng_seed, STREAM_ROUND)
+        self._gen = None            # made by the first round that draws, then re-keyed
         self._stacked = (1, ev)     # (T, edge arrays of T copies of the graph)
 
     def flows(self, state: LoadState, trig: np.ndarray) -> np.ndarray:
@@ -314,13 +390,13 @@ class RoundKernel:
         trig is the state's trigger mask; clearing a row's entries holds that
         row: it draws nothing and stays as it is.
         """
-        check_printed_rule(self.params, state.weights is None)
+        check_printed_rule(self.params, state.tasks is None)
         rows = state.counts.shape[:-1]
         idle = np.zeros(rows, dtype=np.int64) if rows else 0
         if not trig.any():
             return state, idle
         prob = self.probabilities(state, trig)
-        gen = generator_from_prefix(self.stream, round_index)
+        gen = self._gen = generator_from_prefix(self.stream, round_index, self._gen)
         if rows and self._stacked[0] != rows[0]:
             self._stacked = (rows[0], self.edges.tile(rows[0]))
         ev = self._stacked[1] if rows else self.edges
@@ -332,9 +408,9 @@ class RoundKernel:
         new_counts = counts.copy()
         np.add.at(new_counts, ev.dst, moved)
         np.subtract.at(new_counts, ev.src, moved)
-        weights = None if state.weights is None else \
-            _regroup(ev, counts, state.weights, new_counts, moved, gen)
-        new = LoadState(new_counts.reshape(state.counts.shape), weights)
+        tasks = None if state.tasks is None else \
+            _move_tasks(ev, counts, state.tasks, new_counts, moved, gen)
+        new = LoadState(new_counts.reshape(state.counts.shape), tasks)
         return new, moved.reshape(*rows, -1).sum(axis=-1) if rows else total
 
 
@@ -443,31 +519,74 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
         task[redraw] = rank + np.searchsorted(held - np.arange(len(held)), rank, "right")
 
 
-def _regroup(ev: EdgeArrays, counts, weights, new_counts, moved, gen) -> np.ndarray:
-    """The weights after the round: on each node its kept tasks in order,
-    then arrivals in (source node, slot) order.
+def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, gen) -> TaskBuffer:
+    """The task buffer after the round; the old one is read, never written.
 
     A node's first c_e1 movers take its first out-edge, the next c_e2 the
-    second, and so on.
+    second, and so on. Each node fills the holes its movers leave below its
+    kept count by swap-with-last, lowest hole first: the lowest hole takes the
+    last task that stays, the next hole the last of the rest, and so on.
+    Arrivals follow the kept tasks in (source node, slot) order.
+
+    Blocks that stay in place are written into one copy of the buffer. A
+    block that would overflow moves to the end of the buffer with twice its
+    new count as capacity. If that would leave more dead slots (slots holding
+    no task) than half the tasks, every block moves instead, packed in flat
+    node order with a quarter of its count as slack, so a stepped buffer
+    never holds more than 1.5 times its tasks. Apart from the copy, the round
+    works only on the movers and on the blocks it moves.
     """
+    values, start, cap = tasks
     edge = np.repeat(np.arange(len(moved)), moved)     # movers grouped by node
-    src = ev.src[edge]
-    starts = counts.cumsum() - counts
-    task = _mover_tasks(starts[src], counts[src], gen)
-    dst = ev.dst[edge]
-    order = np.lexsort((task, dst))                 # task order is (source, slot) order
-    task, dst = task[order], dst[order]
-    arrivals = np.bincount(dst, minlength=len(new_counts))
-    # Arrivals fill the tail of their node's block; kept tasks fill the rest in order.
-    pos = (new_counts.cumsum() - arrivals.cumsum())[dst] + np.arange(len(dst))
-    out = np.empty_like(weights)
-    out[pos] = weights[task]
-    kept = np.ones(len(out), dtype=bool)
-    kept[task] = False
-    free = np.ones(len(out), dtype=bool)
-    free[pos] = False
-    out[free] = weights[kept]
-    return out
+    src, dst = ev.src[edge], ev.dst[edge]
+    pos = _mover_tasks(start[src], counts[src], gen)
+    left = np.bincount(src, minlength=len(counts))
+    kept = counts - left
+    # Per node, the holes below the kept count pair with the tasks at or above
+    # it that stay, both taken in descending node order: holes lowest first,
+    # staying tasks last first.
+    top = start + kept
+    low = pos < top[src]
+    by_node = np.lexsort((pos[low], -src[low]))
+    holes, hole_node = pos[low][by_node], src[low][by_node]
+    tail = _block_slots(top[left > 0], left[left > 0])     # each node's slots from `top` up
+    leaves = np.zeros(len(tail), dtype=bool)
+    leaves[(left.cumsum() - left - top)[src[~low]] + pos[~low]] = True
+    fillers = tail[~leaves][::-1]
+
+    total = int(new_counts.sum())
+    end = len(values) - 1                               # the spare slot: moved blocks go here
+    moving = new_counts > cap
+    grown_cap = 2 * new_counts[moving]
+    if end + grown_cap.sum() - total > total // 2:
+        moving[:] = True
+        cap = new_counts + new_counts // 4
+        start = cap.cumsum() - cap
+        out = np.zeros(int(cap.sum()) + 1)
+    elif grown_cap.size:
+        start, cap = start.copy(), cap.copy()
+        start[moving] = end + grown_cap.cumsum() - grown_cap
+        cap[moving] = grown_cap
+        out = np.zeros(end + int(grown_cap.sum()) + 1)
+        out[:end] = values[:end]
+    else:
+        out = values.copy()
+    copied = moving & (kept > 0)       # slice by slice: no task-sized index arrays
+    for new, old, size in zip(start[copied].tolist(), tasks.start[copied].tolist(),
+                              kept[copied].tolist()):
+        out[new:new + size] = values[old:old + size]
+    out[holes + (start - tasks.start)[hole_node]] = values[fillers]
+    order = np.lexsort((pos, src, dst))                 # (destination, source, slot)
+    arrive = dst[order]
+    arrivals = np.bincount(arrive, minlength=len(counts))
+    rank = np.arange(len(arrive)) - (arrivals.cumsum() - arrivals)[arrive]
+    out[start[arrive] + kept[arrive] + rank] = values[pos[order]]
+    return TaskBuffer(out, start, cap)
+
+
+def _block_slots(first, size) -> np.ndarray:
+    """The slots first[k] .. first[k]+size[k]-1 of every k, in order."""
+    return np.repeat(first - (size.cumsum() - size), size) + np.arange(size.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ own stream, so results are independent of evaluation order and any stream
 run share their round streams: round r of every trial draws from the stream
 (derive_seed(master, STREAM_TRIAL, 0), STREAM_ROUND, r), trial after trial,
 so a trial's draws depend on the other trials of the run. The key alone
-fixes every draw: each `Philox(key=...)` still builds a default
-`SeedSequence`, which reads OS entropy and then discards it.
+fixes every draw. A fresh `Philox(key=...)` builds a default `SeedSequence`,
+which reads OS entropy only to discard it, so a consumer that draws from one
+stream after another (the round kernel) keeps one generator and re-keys it
+in place (`generator_from_prefix` with `gen`): same key, same draws.
 """
 
 from __future__ import annotations
@@ -57,10 +59,25 @@ def keyed_generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
 
 
-def generator_from_prefix(prefix: tuple[int, int], part: int) -> np.random.Generator:
-    """Generator for prefix extended by one component (fold the fixed path once)."""
+def generator_from_prefix(prefix: tuple[int, int], part: int,
+                          gen: np.random.Generator | None = None) -> np.random.Generator:
+    """Generator for prefix extended by one component (fold the fixed path once).
+
+    With gen (a Philox generator that nothing else shares), its bit generator
+    is re-keyed in place, counter and buffers reset, and gen is returned: it
+    then draws exactly what a fresh `Philox(key=...)` for that key draws.
+    """
     lo, hi = _fold(prefix[0], prefix[1], part)
-    return np.random.Generator(np.random.Philox(key=np.array([lo, hi], dtype=np.uint64)))
+    key = np.array([lo, hi], dtype=np.uint64)
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def derive_seed(seed: int, *path: int) -> int:

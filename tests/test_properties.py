@@ -93,8 +93,10 @@ def reference_weighted_step(g, sp, state, params, round_index):
     mover's first draw, then one call per pass for the movers whose slot an
     earlier mover of their node holds, each drawing among the slots that no
     mover keeps. A node's first c_1 movers take its first out-edge, the next
-    c_2 the second, and so on. A node keeps its staying tasks in order and
-    appends arrivals in (source node, slot) order.
+    c_2 the second, and so on. A node fills its movers' holes by
+    swap-with-last in ascending hole order (trailing movers drop off, then the
+    last task that stays moves into the hole), and appends arrivals in
+    (source node, slot) order.
     """
     tasks = state.to_payload()["tasks"]
     kernel = RoundKernel(g, sp, params)
@@ -131,8 +133,15 @@ def reference_weighted_step(g, sp, state, params, round_index):
             for _ in range(c):
                 leaving[i, slots[k]] = j
                 k += 1
-    new = [[w for s, w in enumerate(node) if (i, s) not in leaving]
-           for i, node in enumerate(tasks)]
+    new = []
+    for i, node in enumerate(tasks):
+        block = [(w, (i, s) in leaving) for s, w in enumerate(node)]   # (weight, leaves)
+        for h in sorted(s for (src, s) in leaving if src == i):
+            while block and block[-1][1]:
+                block.pop()
+            if h < len(block):
+                block[h] = block.pop()
+        new.append([w for w, _ in block])
     for (i, s), j in sorted(leaving.items()):
         new[j].append(tasks[i][s])
     return LoadState.weighted(new), len(movers)
@@ -225,6 +234,71 @@ def test_no_task_crosses_rows(inst, seed, r, alpha_factor, data):
     bare, bare_moves = step_round_totals(g, sp, states[0], params, r)
     one, one_moves = step_round_totals(g, sp, LoadState.stack(states[:1]), params, r)
     assert one.rows()[0] == bare and one_moves.tolist() == [bare_moves]
+
+
+def step_and_check_slack(g, sp, states, params, rounds):
+    """Step the stack of `states` and check, after every round, that its task
+    buffer's slack never shows: `weights`, `to_payload`, `rows` and `==` see
+    gap-free tasks grouped by node, each row keeps its weight multiset, W_i
+    is the block sum of the gap-free tasks, and the stack steps exactly as
+    its gap-free rebuild. Returns the rounds that moved a block and the
+    rounds that packed the buffer."""
+    kernel = RoundKernel(g, sp, params)
+    stack = LoadState.stack(states)
+    moved_blocks = packed = 0
+    for r in range(rounds):
+        trig = triggers(g, sp, stack)
+        rebuilt = LoadState.stack(LoadState.from_payload(row.to_payload())
+                                  for row in stack.rows())
+        new, moves = kernel.step(stack, r, trig)
+        again, again_moves = kernel.step(rebuilt, r, trig)
+        assert new == again and moves.tolist() == again_moves.tolist()
+        values, start, cap = new.tasks
+        counts = new.counts.ravel()
+        assert (counts <= cap).all() and (start + cap <= len(values) - 1).all()
+        order = np.argsort(start[cap > 0])
+        assert (start[cap > 0][order][1:] >= (start + cap)[cap > 0][order][:-1]).all()
+        assert 2 * (len(values) - 1) <= 3 * new.task_count
+        moved_blocks += not np.array_equal(start[:len(stack.tasks.start)], stack.tasks.start)
+        packed += len(values) < len(stack.tasks.values)
+        stack = new
+        assert len(stack.weights) == stack.task_count
+        rows = stack.rows()
+        assert np.array_equal(stack.weights, np.concatenate([row.weights for row in rows]))
+        for row, start_state in zip(rows, states):
+            tasks = row.to_payload()["tasks"]
+            assert [len(node) for node in tasks] == row.counts.tolist()
+            assert np.array_equal(row.weights, [w for node in tasks for w in node])
+            assert sorted(row.weights) == sorted(start_state.weights)
+        rebuilt = LoadState.stack(LoadState.from_payload(row.to_payload()) for row in rows)
+        assert stack == rebuilt and rebuilt == stack
+        assert np.array_equal(stack.node_weights(), rebuilt.node_weights())
+    return moved_blocks, packed
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(max_rows=3), seeds, st.sampled_from((Fraction(1, 16), Fraction(1, 4), 1)))
+def test_slack_never_shows(inst, seed, alpha_factor):
+    g, sp, states = inst
+    if states[0].weights is None:
+        states = [LoadState.weighted([[0.5] * int(c) for c in s.counts]) for s in states]
+    # All of a row's tasks on its first node, so blocks fill, move and pack.
+    states = [LoadState.weighted([list(s.weights)] + [[]] * (g.node_count - 1))
+              for s in states]
+    step_and_check_slack(g, sp, states, ProtocolParams(
+        rng_seed=seed, alpha=4 * sp.s_max * alpha_factor), 25)
+
+
+def test_slack_blocks_move_and_pack():
+    # Far below the alpha floor, with every task on one node, blocks
+    # overflow and move, and the buffer packs again, within a few rounds.
+    g = GRAPHS[2]
+    sp = SpeedProfile.from_rationals([1, 2, 1, 2])
+    rng = np.random.default_rng(0)
+    states = [LoadState.weighted([list(1.0 - rng.random(40)), [], [], []]) for _ in range(3)]
+    moved_blocks, packed = step_and_check_slack(
+        g, sp, states, ProtocolParams(rng_seed=5, alpha=sp.s_max / 4), 30)
+    assert moved_blocks >= 3 and packed >= 2
 
 
 DYADIC_SPEEDS = (1, 2, 4)

@@ -237,6 +237,37 @@ def test_weighted_node_weights_match_task_lists_after_many_rounds():
         assert abs(st.node_weights()[i] - exact) <= len(node) * 2.0**-53 * exact
 
 
+def test_block_sums_of_empty_nodes_rows_and_states():
+    # W_i is the reduceat sum of node i's block: 0 on an empty node, and
+    # within k_i * 2^-53 * W_i of the exact sum elsewhere, whether the empty
+    # nodes come first, in the middle or last, fill whole rows of a stack,
+    # or are every node of a state with no tasks.
+    ws = random_task_weights(60, 4)
+    lists = [[], list(ws[:20]), [], [], list(ws[20:45]), list(ws[45:]), []]
+    empty_row = [[] for _ in lists]
+    states = [LoadState.weighted(lists), LoadState.weighted(lists[::-1]),
+              LoadState.weighted(empty_row)]
+    stack = LoadState.stack([states[2], states[0], states[2], states[1], states[2]])
+    for st in (*states, stack):
+        for row, got in zip(st.rows() if st.stacked else [st], np.atleast_2d(st.node_weights())):
+            for w, node in zip(got.tolist(), row.to_payload()["tasks"]):
+                exact = math.fsum(node)     # 0 on an empty node, and so must w be
+                assert abs(w - exact) <= len(node) * 2.0**-53 * exact
+    assert states[2].task_count == 0 and states[2].total_weight() == 0.0
+    assert stack.total_weight().tolist() == [0.0, states[0].total_weight(), 0.0,
+                                             states[1].total_weight(), 0.0]
+
+
+def test_to_payload_rejects_stacks():
+    # A stack's rows would come back as one state with T*n nodes (weighted)
+    # or as nested counts that from_payload rejects (unit tasks).
+    for st in (LoadState.weighted([[0.5], [0.25, 0.5]]), LoadState.uniform([3, 1])):
+        stack = LoadState.stack([st, st])
+        with pytest.raises(ConfigError, match="not a stack"):
+            stack.to_payload()
+        assert [LoadState.from_payload(r.to_payload()) for r in stack.rows()] == [st, st]
+
+
 def test_step_round_all_probabilities_clamped_at_degree_20():
     # Far below the alpha floor every migration probability clamps to 1, so
     # every task leaves node 0. The 20 move probabilities of 1/20 sum to
