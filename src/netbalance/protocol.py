@@ -21,9 +21,11 @@ exactly on cross-multiplied integers. Weighted tasks then draw which of a
 node's tasks leave, a uniform ordered sample of distinct tasks split over
 its out-edges in order; comparisons are strict floating-point, and ties
 resolve to "no move". A mover's hole is filled by its node's last staying
-task and arrivals are appended (`_move_tasks`), so a weighted round costs
-one copy of the buffer, one block sum per node and work on the movers, not
-a pass over every task.
+task and arrivals are appended (`_move_tasks`). The newest state owns the
+buffer's array and a round writes it in place, while the state it stepped
+keeps an undo diff and rebuilds its own copy if it is read or stepped
+again, so a weighted round costs one block sum per node and work on the
+movers, not a pass over every task.
 
 Many states of one graph (the trials of a run, or independent rounds of one
 state) step together as the rows of a stack: T rows are one state of T
@@ -49,7 +51,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -71,7 +73,48 @@ MODE_WEIGHTED = "weighted"
 _INT_GUARD = 1 << 62
 
 
-class TaskBuffer(NamedTuple):
+class _Version:
+    """One version of a task buffer's float array, after Baker's version
+    arrays ("Shallow binding makes functional arrays fast", 1991).
+
+    The newest version owns the array (`array`, and `values`, its read-only
+    view). A round that writes the array in place hands it on (`hand_on`)
+    and keeps `undo`: the slots it overwrote, their old values and the
+    version it handed the array to. The first read of an older version
+    (`current`) copies the owner's array and applies the diffs newest to
+    oldest; from then on that version owns its copy.
+    """
+
+    __slots__ = ("array", "values", "undo")
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+        self.values = array.view()
+        self.values.setflags(write=False)
+        self.undo = None
+
+    def current(self) -> "_Version":
+        """This version, owning an array that holds its own tasks."""
+        if self.undo is not None:
+            diffs, owner = [], self
+            while owner.undo is not None:
+                diffs.append(owner.undo)
+                owner = owner.undo[2]
+            array = owner.array.copy()
+            for slots, old, _ in reversed(diffs):
+                array[slots] = old
+            self.__init__(array)
+        return self
+
+    def hand_on(self, slots: np.ndarray, old: np.ndarray) -> "_Version":
+        """The next version, owning the array; this one keeps the undo diff."""
+        new = _Version(self.array)
+        self.array = self.values = None
+        self.undo = (slots, old, new)
+        return new
+
+
+class TaskBuffer:
     """Weighted tasks in per-node blocks with slack, in one float array.
 
     Flat node i owns the block values[start[i] : start[i] + cap[i]] and keeps
@@ -79,13 +122,35 @@ class TaskBuffer(NamedTuple):
     is slack. Blocks with room are disjoint and may lie in any order; slots
     in no block are dead. The last slot of values is in no block, so every
     block end is a valid index for `np.add.reduceat`. Slots that hold no task
-    keep stale weights or 0, never read as tasks. The rows of a stack are
-    views of its buffer, each with its own blocks.
+    keep stale weights or 0, never read as tasks. `values, start, cap =
+    buffer` unpacks it.
+
+    The float array is a store that the newest buffer owns: a round that
+    neither packs nor grows a block writes it in place and hands it on to the
+    buffer it returns, while the old buffer keeps an undo diff (`_Version`).
+    Reading `values` of an older buffer first rebuilds its own copy, so every
+    buffer reads as its own tasks; an array read from `values` before such a
+    round shows the newer tasks after it. The rows of a stack share its
+    version of the store, each with its own blocks, so a round that writes
+    the stack or any of its rows in place makes all of them older.
     """
 
-    values: np.ndarray
-    start: np.ndarray
-    cap: np.ndarray
+    __slots__ = ("start", "cap", "_version")
+
+    def __init__(self, version: _Version, start: np.ndarray, cap: np.ndarray):
+        self._version = version
+        self.start = start
+        self.cap = cap
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._version.current().values
+
+    def __iter__(self):
+        return iter((self.values, self.start, self.cap))
+
+    def __repr__(self):
+        return f"TaskBuffer(values={self.values!r}, start={self.start!r}, cap={self.cap!r})"
 
     @classmethod
     def packed(cls, weights: np.ndarray, counts: np.ndarray) -> "TaskBuffer":
@@ -94,7 +159,7 @@ class TaskBuffer(NamedTuple):
             raise ConfigError("weighted state needs one weight per task")
         values = np.zeros(len(weights) + 1)
         values[:-1] = weights
-        return cls(values, counts.cumsum() - counts, counts)
+        return cls(_Version(values), counts.cumsum() - counts, counts)
 
     def sums(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-node sums of values over each node's tasks: one `np.add.reduceat`
@@ -132,11 +197,18 @@ class LoadState:
     1, so W_i is counts[i] or the sum of node i's weights. Every array is
     read-only; equality is by value.
 
+    A weighted state is a value even though rounds write its buffer's array
+    in place (`TaskBuffer`): a state that a round has stepped keeps an undo
+    diff, and its next read or step first rebuilds its own copy of the
+    array, so `weights`, W_i, `rows`, `to_payload` and the next step all see
+    its own tasks. Its counts, start and cap arrays never change.
+
     A stack (`LoadState.stack`) holds T states of one graph as rows: counts
     has shape (T, n), row t's node i is flat node t*n + i, and the task
     buffer has one block per flat node, `weights` holding the tasks of every
     flat node in that order. Per-node quantities then have shape (T, n) and
-    per-row ones shape (T,).
+    per-row ones shape (T,). Weighted rows (`rows`) are views of the stack's
+    buffer.
     """
 
     counts: np.ndarray
@@ -147,8 +219,8 @@ class LoadState:
             raise ConfigError("task counts must be non-negative")
         self.counts.setflags(write=False)
         if self.tasks is not None:
-            for array in self.tasks:
-                array.setflags(write=False)
+            self.tasks.start.setflags(write=False)
+            self.tasks.cap.setflags(write=False)
 
     @classmethod
     def uniform(cls, counts: Iterable[int]) -> "LoadState":
@@ -192,9 +264,9 @@ class LoadState:
         """Every row of a stack as its own state (views, no copies)."""
         if self.tasks is None:
             return [LoadState(c) for c in self.counts]
-        values, start, cap = self.tasks
+        version, start, cap = self.tasks._version, self.tasks.start, self.tasks.cap
         n = self.n
-        return [LoadState(c, TaskBuffer(values, start[k:k + n], cap[k:k + n]))
+        return [LoadState(c, TaskBuffer(version, start[k:k + n], cap[k:k + n]))
                 for c, k in zip(self.counts, range(0, self.counts.size, n))]
 
     def __eq__(self, other):
@@ -520,7 +592,7 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
 
 
 def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, gen) -> TaskBuffer:
-    """The task buffer after the round; the old one is read, never written.
+    """The task buffer after the round.
 
     A node's first c_e1 movers take its first out-edge, the next c_e2 the
     second, and so on. Each node fills the holes its movers leave below its
@@ -528,15 +600,20 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
     last task that stays, the next hole the last of the rest, and so on.
     Arrivals follow the kept tasks in (source node, slot) order.
 
-    Blocks that stay in place are written into one copy of the buffer. A
-    block that would overflow moves to the end of the buffer with twice its
-    new count as capacity. If that would leave more dead slots (slots holding
-    no task) than half the tasks, every block moves instead, packed in flat
-    node order with a quarter of its count as slack, so a stepped buffer
-    never holds more than 1.5 times its tasks. Apart from the copy, the round
-    works only on the movers and on the blocks it moves.
+    When every block fits its new count, the round writes the old buffer's
+    store in place: it gathers the fillers and the arrivals first, then
+    writes holes and arrivals. The old buffer keeps the overwritten slots
+    with their old values as its undo diff, and its start and cap arrays as
+    they are. A block that would overflow moves to the end of a new
+    buffer with twice its new count as capacity. If that would leave more
+    dead slots (slots holding no task) than half the tasks, every block moves
+    instead, packed in flat node order with a quarter of its count as slack,
+    so a stepped buffer never holds more than 1.5 times its tasks. Only these
+    two allocate, and the old buffer then keeps its store. Apart from them,
+    the round works only on the movers and on the blocks it moves.
     """
-    values, start, cap = tasks
+    values = tasks._version.current().array
+    start, cap = tasks.start, tasks.cap
     edge = np.repeat(np.arange(len(moved)), moved)     # movers grouped by node
     src, dst = ev.src[edge], ev.dst[edge]
     pos = _mover_tasks(start[src], counts[src], gen)
@@ -570,18 +647,24 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
         out = np.zeros(end + int(grown_cap.sum()) + 1)
         out[:end] = values[:end]
     else:
-        out = values.copy()
+        out = values
     copied = moving & (kept > 0)       # slice by slice: no task-sized index arrays
     for new, old, size in zip(start[copied].tolist(), tasks.start[copied].tolist(),
                               kept[copied].tolist()):
         out[new:new + size] = values[old:old + size]
-    out[holes + (start - tasks.start)[hole_node]] = values[fillers]
     order = np.lexsort((pos, src, dst))                 # (destination, source, slot)
     arrive = dst[order]
     arrivals = np.bincount(arrive, minlength=len(counts))
     rank = np.arange(len(arrive)) - (arrivals.cumsum() - arrivals)[arrive]
-    out[start[arrive] + kept[arrive] + rank] = values[pos[order]]
-    return TaskBuffer(out, start, cap)
+    slots = np.concatenate((holes + (start - tasks.start)[hole_node],
+                            start[arrive] + kept[arrive] + rank))
+    incoming = np.concatenate((values[fillers], values[pos[order]]))
+    if out is values:
+        version = tasks._version.hand_on(slots, values[slots])
+    else:
+        version = _Version(out)
+    out[slots] = incoming
+    return TaskBuffer(version, start, cap)
 
 
 def _block_slots(first, size) -> np.ndarray:

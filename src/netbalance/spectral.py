@@ -210,8 +210,9 @@ def eigen_decomposition(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > EIGEN_TOL * scale:
+    # max|M| without a temporary; M - M^T is antisymmetric, so its max is max|M - M^T|.
+    scale = max(1.0, float(mat.max()), -float(mat.min()))
+    if float((mat - mat.T).max()) > EIGEN_TOL * scale:
         raise ConfigError("matrix is not symmetric within tolerance")
     try:
         vals = np.linalg.eigvalsh(mat)
@@ -250,10 +251,10 @@ def second_smallest_eigenvalue(mat: np.ndarray, null_vector=None) -> float:
     value = float(eigen_decomposition(mat)[1])
     u = np.full(n, 1.0) if null_vector is None else np.asarray(null_vector, dtype=float)
     u = u / np.linalg.norm(u)
-    magnitudes = np.abs(mat)
-    delta = EIGEN_TOL * max(1.0, float(magnitudes.max())) * n
-    shift = 2.0 * float(magnitudes.sum(axis=1).max()) + 1.0
-    deflated = np.outer(u, u)
+    deflated = np.abs(mat)             # |M| first, then D in the same array
+    delta = EIGEN_TOL * max(1.0, float(deflated.max())) * n
+    shift = 2.0 * float(deflated.sum(axis=1).max()) + 1.0
+    np.multiply.outer(u, u, out=deflated)
     deflated *= shift
     deflated += mat
     diag = np.diag_indices(n)

@@ -6,6 +6,7 @@ stacked as the rows of one state, any seed and round index. Every property is a 
 implementation, so any counterexample is a bug.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -188,13 +189,13 @@ def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed)
 
 
 @st.composite
-def stacks(draw, max_rows=5):
+def stacks(draw, max_rows=5, modes=("uniform", "weighted")):
     """One graph and speed profile with 1..max_rows states of one task mode."""
     g = draw(st.sampled_from(GRAPHS))
     n = g.node_count
     pattern = draw(st.sampled_from(SPEED_PATTERNS))
     sp = SpeedProfile.from_rationals([pattern[i % 2] for i in range(n)])
-    mode = draw(st.sampled_from(("uniform", "weighted")))
+    mode = draw(st.sampled_from(modes))
     rows = draw(st.integers(1, max_rows))
     if mode == "uniform":
         states = [LoadState.uniform(draw(st.lists(st.integers(0, 12), min_size=n,
@@ -299,6 +300,92 @@ def test_slack_blocks_move_and_pack():
     moved_blocks, packed = step_and_check_slack(
         g, sp, states, ProtocolParams(rng_seed=5, alpha=sp.s_max / 4), 30)
     assert moved_blocks >= 3 and packed >= 2
+
+
+def read_state(state):
+    """What a state reads as: counts, weights, W_i and every row's weights, W_i
+    and payload, read through a fresh alias so that no cached `weights` or W_i
+    stands in for the task buffer."""
+    alias = LoadState(state.counts, state.tasks)
+    rows = alias.rows() if alias.stacked else [alias]
+    return (alias.counts.tolist(), alias.weights.tolist(), alias.node_weights().tolist(),
+            [(row.weights.tolist(), row.node_weights().tolist(), row.to_payload())
+             for row in rows])
+
+
+def step_and_check_history(g, sp, state, held, params, rounds, rng):
+    """Step `state` `rounds` times (with the rows in `held` held, for a stack),
+    then check that every state of the chain still reads as it did when it
+    was new: read them all in random order, re-step a random earlier one at a
+    fresh round index, which must step as its gap-free rebuild, and read them
+    all again. Returns the number of rounds that wrote the buffer in place."""
+    kernel = RoundKernel(g, sp, params)
+
+    def trig_of(s):
+        trig = triggers(g, sp, s)
+        if held is not None:
+            trig[held] = False
+        return trig
+
+    chain, records, in_place = [state], [read_state(state)], 0
+    for r in range(rounds):
+        values = chain[-1].tasks.values
+        new, _ = kernel.step(chain[-1], r, trig_of(chain[-1]))
+        in_place += np.shares_memory(new.tasks.values, values)
+        chain.append(new)
+        records.append(read_state(new))
+
+    def check_chain():
+        for k in rng.sample(range(len(chain)), len(chain)):
+            assert read_state(chain[k]) == records[k]
+
+    def restep(k):
+        """Re-step chain[k] at a fresh round index: it must step as its
+        gap-free rebuild, made from its record."""
+        rows = [LoadState.from_payload(payload) for *_, payload in records[k][3]]
+        rebuilt = LoadState.stack(rows) if chain[k].stacked else rows[0]
+        r = rounds + rng.randrange(10**6)
+        trig = trig_of(chain[k])
+        again, moves = kernel.step(chain[k], r, trig)
+        expected, expected_moves = kernel.step(rebuilt, r, trig)
+        assert again == expected and np.array_equal(moves, expected_moves)
+        chain.append(again)
+        records.append(read_state(again))
+
+    restep(rng.randrange(rounds))       # before any read has restored it
+    check_chain()
+    restep(rng.randrange(rounds))       # after every read has
+    check_chain()
+    return in_place
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(max_rows=3, modes=("weighted",)), st.booleans(), seeds,
+       st.sampled_from((Fraction(1, 16), Fraction(1, 4), 1)),
+       st.randoms(use_true_random=False), st.data())
+def test_older_states_read_and_step_as_they_were(inst, bare, seed, alpha_factor, rng, data):
+    # A round writes the newest state's buffer in place; every older state of
+    # the chain, bare or stacked, must still read and step as its own tasks.
+    g, sp, states = inst
+    held = None if bare else np.array(data.draw(
+        st.lists(st.booleans(), min_size=len(states), max_size=len(states))))
+    step_and_check_history(g, sp, states[0] if bare else LoadState.stack(states), held,
+                           ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor),
+                           8, rng)
+
+
+def test_history_survives_in_place_rounds():
+    # Ten tasks per node: most rounds fit every block and write in place.
+    g = GRAPHS[2]
+    sp = SpeedProfile.from_rationals([1, 2, 1, 2])
+    gen = np.random.default_rng(1)
+    states = [LoadState.weighted([list(1.0 - gen.random(10)) for _ in range(4)])
+              for _ in range(3)]
+    for state, held in ((states[0], None),
+                        (LoadState.stack(states), np.array([False, True, False]))):
+        in_place = step_and_check_history(g, sp, state, held, ProtocolParams(
+            rng_seed=2, alpha=sp.s_max), 20, random.Random(0))
+        assert in_place >= 10
 
 
 DYADIC_SPEEDS = (1, 2, 4)

@@ -1,6 +1,7 @@
 """Migration probabilities, flows, equilibrium predicates, and round execution."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,30 @@ def test_weighted_node_weights_match_task_lists_after_many_rounds():
     for i, node in enumerate(st.to_payload()["tasks"]):
         exact = math.fsum(node)
         assert abs(st.node_weights()[i] - exact) <= len(node) * 2.0**-53 * exact
+
+
+def test_in_place_round_allocates_no_buffer_copy():
+    # A weighted round that neither packs nor grows a block writes its movers
+    # into the buffer in place, so what it allocates is sized by the nodes
+    # and the movers, not by the 2^17 tasks (tracemalloc sees numpy's data).
+    g = make_graph("torus2d", rows=8, cols=8)
+    sp = SpeedProfile.uniform(64)
+    gen = np.random.default_rng(0)
+    counts = gen.multinomial(1 << 17, np.full(64, 1 / 64))
+    st = LoadState.weighted(np.split(1.0 - gen.random(1 << 17), np.cumsum(counts)[:-1]))
+    kernel = RoundKernel(g, sp, params(seed=1))
+    for r in range(3):      # the first round grows blocks and packs the buffer
+        st, _ = kernel.step(st, r, triggers(g, sp, st))
+    trig = triggers(g, sp, st)
+    values = st.tasks.values
+    tracemalloc.start()
+    try:
+        new, moved = kernel.step(st, 3, trig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moved > 0 and np.shares_memory(new.tasks.values, values)    # neither packed nor grew
+    assert peak < values.nbytes // 8
 
 
 def test_block_sums_of_empty_nodes_rows_and_states():
