@@ -30,7 +30,6 @@ from .protocol import (
     LoadState,
     ProtocolParams,
     all_on_one_state,
-    check_printed_rule,
     exact_ne_alpha,
     random_placement_state,
     random_task_weights,
@@ -77,7 +76,6 @@ class ExperimentConfig:
     protocol_alpha: Fraction | None = None
     protocol_eps: float | None = None
     protocol_psi_constant: int = 8
-    protocol_printed_rule: bool = False
     run_trials: int = 1
     run_round_cap: int = 100000
     run_stop: str = ""
@@ -256,16 +254,13 @@ def build_params(cfg: ExperimentConfig, sp: SpeedProfile) -> ProtocolParams:
     """Protocol knobs; alpha defaults to 4*s_max, or to 4*s_max/eps for unit
     tasks under the exact-ne stop, where the exact-equilibrium cap is proven.
 
-    The tasks pick the algorithm, so the printed weighted rule with unit
-    tasks is rejected here, before any work."""
+    The tasks pick the algorithm: unit tasks run Algorithm 1, weighted ones
+    Algorithm 2."""
     unit_tasks = cfg.tasks_mode in ("uniform", "explicit-counts")
     alpha = cfg.protocol_alpha
     if alpha is None and cfg.run_stop == "exact-ne" and unit_tasks:
         alpha = exact_ne_alpha(sp)
-    params = ProtocolParams(rng_seed=_master_seed(cfg), alpha=alpha,
-                            printed_weighted_rule=cfg.protocol_printed_rule)
-    check_printed_rule(params, unit_tasks)
-    return params
+    return ProtocolParams(rng_seed=_master_seed(cfg), alpha=alpha)
 
 
 def build_stop(cfg: ExperimentConfig) -> StopRule:

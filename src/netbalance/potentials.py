@@ -40,7 +40,6 @@ from .protocol import (
     LoadState,
     ProtocolParams,
     RoundKernel,
-    check_printed_rule,
     resolve_alpha,
     triggers,
 )
@@ -184,7 +183,6 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     type sets the exactness (`moment_inputs`). Passes over one state at
     several alphas can share its inputs.
     """
-    check_printed_rule(params, state.tasks is None)
     if inputs is None:
         inputs = moment_inputs(g, sp, state)
     w, sq, inv, _, loads, _, zero = inputs
@@ -197,12 +195,10 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     var = [zero] * n
     out_q = [zero] * n
     for i, j, dij, deg_i in inputs.edges:
-        if params.printed_weighted_rule:
-            p = (w[i] - w[j]) * deg_i / (2 * alpha * dij * w[i])
-        else:
-            p = (loads[i] - loads[j]) * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
-        # Mirror the kernel's clamp of the migration probability to [0, 1].
-        p = min(max(p, zero), one)
+        p = (loads[i] - loads[j]) * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
+        # Mirror the kernel's clamp of the migration probability at 1; p > 0 on
+        # a triggered edge.
+        p = min(p, one)
         q = p / deg_i   # per-task chance of ending on j; w[i] > 0 on triggered edges
         mu[i] -= w[i] * q
         mu[j] += w[i] * q

@@ -360,14 +360,11 @@ class ProtocolParams:
     """Migration-protocol knobs. alpha=None resolves to 4*s_max at use time.
 
     The state's tasks choose the algorithm (unit: Algorithm 1, weighted:
-    Algorithm 2). printed_weighted_rule swaps Algorithm 2's definition-rule
-    probability for the rule as printed; it is for weighted tasks only, and
-    a round or moments pass on unit tasks rejects it (`check_printed_rule`).
+    Algorithm 2); both draw with `RoundKernel.probabilities`.
     """
 
     rng_seed: int
     alpha: Fraction | int | None = None
-    printed_weighted_rule: bool = False
 
     def __post_init__(self):
         if self.alpha is not None and self.alpha <= 0:
@@ -423,7 +420,6 @@ class RoundKernel:
     def __init__(self, g: GraphTopology, sp: SpeedProfile, params: ProtocolParams):
         if sp.n != g.node_count:
             raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
-        self.params = params
         self.edges = ev = g.edge_arrays
         self.inv = sp.inv_floats
         self.alpha = float(resolve_alpha(params, sp))
@@ -442,19 +438,14 @@ class RoundKernel:
         """p_e: the chance that a task which picked this edge's neighbor migrates.
 
         p_e = (deg(i)/d_ij) * (l_i - l_j) / (alpha * (1/s_i + 1/s_j) * W_i) on
-        triggered edges and 0 elsewhere (the printed rule's own formula under
-        `printed_weighted_rule`). It is at most 1/8 when alpha >= 4*s_max;
-        below that floor it can exceed 1, and the round clamps it at 1.
+        triggered edges and 0 elsewhere, for unit and weighted tasks alike. It
+        is at most 1/8 when alpha >= 4*s_max; below that floor it can exceed 1,
+        and the round clamps it at 1.
         """
         ev = self.edges
         weights = state.node_weights()
-        out = np.zeros(trig.shape)
-        if self.params.printed_weighted_rule:
-            num = (ev.deg[ev.src] / ev.dij) * (weights[..., ev.src] - weights[..., ev.dst])
-            prob = np.divide(num, 2.0 * self.alpha * weights[..., ev.src], out=out, where=trig)
-            return np.clip(prob, 0.0, 1.0)
         return np.divide(self.flows(state, trig) * ev.deg[ev.src], weights[..., ev.src],
-                         out=out, where=trig)
+                         out=np.zeros(trig.shape), where=trig)
 
     def step(self, state: LoadState, round_index: int, trig: np.ndarray):
         """One round of every row; see `step_round_totals`.
@@ -462,7 +453,6 @@ class RoundKernel:
         trig is the state's trigger mask; clearing a row's entries holds that
         row: it draws nothing and stays as it is.
         """
-        check_printed_rule(self.params, state.tasks is None)
         rows = state.counts.shape[:-1]
         idle = np.zeros(rows, dtype=np.int64) if rows else 0
         if not trig.any():
@@ -515,12 +505,6 @@ def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState, eps: fl
     lhs = (1.0 - eps) * loads[..., ev.src] - loads[..., ev.dst]
     ok = (lhs <= sp.inv_floats[ev.dst]).all(axis=-1)
     return ok if state.stacked else bool(ok)
-
-
-def check_printed_rule(params: ProtocolParams, unit_tasks: bool) -> None:
-    """The printed rule is Algorithm 2's, so it applies to weighted tasks only."""
-    if params.printed_weighted_rule and unit_tasks:
-        raise ConfigError("the printed weighted rule applies to weighted tasks only")
 
 
 def step_round_totals(g: GraphTopology, sp: SpeedProfile, state: LoadState,

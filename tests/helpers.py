@@ -159,12 +159,11 @@ def enum_expected_psi0_drop(g, speeds, counts, alpha):
     return psi0_of(counts) - sum(p * psi0_of(new) for new, p in law.items())
 
 
-# Weighted tasks: the migration probability is the definition rule above, or
-# the printed rule (deg(i)/d_ij) * (W_i - W_j) / (2*alpha*W_i), clamped to
-# [0, 1]. Weights enter as exact Fractions.
+# Weighted tasks (Algorithm 2) migrate by the same rule, with W_i the weight
+# on node i. Weights enter as exact Fractions.
 
 
-def _weighted_task_choices(g, speeds, node_weights, alpha, printed):
+def _weighted_task_choices(g, speeds, node_weights, alpha):
     """Per node: [(destination, probability)...] of one task's categorical draw."""
     n = g.node_count
     loads = [node_weights[i] / speeds[i] for i in range(n)]
@@ -177,23 +176,20 @@ def _weighted_task_choices(g, speeds, node_weights, alpha, printed):
             p = Fraction(0)
             if gap > 1 / speeds[j]:
                 d_ij = Fraction(deg_i, max(deg_i, g.degrees[j]))
-                if printed:
-                    p = d_ij * (node_weights[i] - node_weights[j]) / (2 * alpha * node_weights[i])
-                else:
-                    p = d_ij * gap / (alpha * (1 / speeds[i] + 1 / speeds[j]) * node_weights[i])
-                p = min(max(p, Fraction(0)), Fraction(1))
+                p = d_ij * gap / (alpha * (1 / speeds[i] + 1 / speeds[j]) * node_weights[i])
+                p = min(p, Fraction(1))
             options.append((j, p / deg_i))
         options.append((i, 1 - sum(q for _, q in options)))
         table.append(options)
     return table
 
 
-def weighted_round_law(g, speeds, task_lists, alpha, printed=False):
+def weighted_round_law(g, speeds, task_lists, alpha):
     """Exact law of the next state: {per-node sorted weight tuples: probability}."""
     n = g.node_count
     tasks = [(i, Fraction(w)) for i, node in enumerate(task_lists) for w in node]
     start = [sum((w for k, w in tasks if k == i), Fraction(0)) for i in range(n)]
-    table = _weighted_task_choices(g, speeds, start, Fraction(alpha), printed)
+    table = _weighted_task_choices(g, speeds, start, Fraction(alpha))
     law = {}
     for outcome in product(*(table[i] for i, _ in tasks)):
         prob = Fraction(1)
@@ -207,7 +203,7 @@ def weighted_round_law(g, speeds, task_lists, alpha, printed=False):
     return law
 
 
-def enum_weighted_round(g, speeds, task_lists, alpha, printed=False):
+def enum_weighted_round(g, speeds, task_lists, alpha):
     """Exact (E[psi0 - psi0'], sum_i Var[W_i'] / s_i) as sums over the law."""
     n = g.node_count
     start = [sum(map(Fraction, node), Fraction(0)) for node in task_lists]
@@ -219,7 +215,7 @@ def enum_weighted_round(g, speeds, task_lists, alpha, printed=False):
     e_psi0 = Fraction(0)
     e_w = [Fraction(0)] * n
     e_w2 = [Fraction(0)] * n
-    for nodes, prob in weighted_round_law(g, speeds, task_lists, alpha, printed).items():
+    for nodes, prob in weighted_round_law(g, speeds, task_lists, alpha).items():
         new = [sum(node, Fraction(0)) for node in nodes]
         e_psi0 += prob * psi0_of(new)
         for i in range(n):

@@ -231,23 +231,16 @@ def test_cmd_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert "tol must be" in capsys.readouterr().err
 
 
-def test_printed_rule_with_unit_tasks_is_config_error(tmp_path):
-    # The tasks pick the algorithm and the printed rule is the weighted one's,
-    # so a unit-task config with it fails before any round or output.
-    text = BASIC_CONFIG.replace("run.stop = exact-ne", "run.stop = fixed-rounds\nrun.rounds = 0") \
-        + "protocol.printed_rule = true\n"
+@pytest.mark.parametrize("line", ["protocol.variant = algorithm1",
+                                  "protocol.printed_rule = false"],
+                         ids=["variant", "printed_rule"])
+def test_protocol_variant_key_is_unknown(tmp_path, capsys, line):
+    # Retired keys: the tasks decide the algorithm, and Algorithm 2 has one
+    # migration rule. Even a retired key's old default is refused.
+    text = BASIC_CONFIG + line + "\n"
     assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
+    assert f"unknown key '{line.split(' =')[0]}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    weighted = text.replace("explicit-counts", "explicit-weights").replace(
-        "tasks.counts = 4,0", "tasks.weights = 0:1.0,0.9,0.8")
-    assert main(["run", str(write_config(tmp_path, weighted, name="w.cfg"))]) == EXIT_OK
-
-
-def test_protocol_variant_key_is_unknown(tmp_path, capsys):
-    # The tasks decide the algorithm; a config cannot restate it.
-    text = BASIC_CONFIG + "protocol.variant = algorithm1\n"
-    assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
-    assert "unknown key 'protocol.variant'" in capsys.readouterr().err
 
 
 def test_exit_codes_distinct():

@@ -243,14 +243,6 @@ def test_weighted_oracle_against_monte_carlo():
 
 
 
-def test_moments_reject_printed_rule_on_unit_tasks():
-    printed = ProtocolParams(rng_seed=0, printed_weighted_rule=True)
-    with pytest.raises(ConfigError, match="weighted tasks only"):
-        node_change_moments(K2, UNI2, LoadState.uniform((2, 0)), printed)
-    moments = node_change_moments(K2, UNI2, weighted_all_on_one([1.0, 0.9, 0.8], 2), printed)
-    assert moments.mu[1] > 0
-
-
 def test_moments_reject_unit_states_past_the_int_guard():
     # The moments pass reads the round's exact trigger, so a state whose
     # cross products could overflow int64 is refused, as the round refuses it.

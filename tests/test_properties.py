@@ -149,13 +149,11 @@ def reference_weighted_step(g, sp, state, params, round_index):
 
 
 @PROPERTY
-@given(instances(modes=("weighted",)), seeds, rounds, st.booleans(),
-       st.sampled_from((Fraction(1, 16), 1)))
-def test_weighted_step_matches_loop_reference(inst, seed, r, printed, alpha_factor):
+@given(instances(modes=("weighted",)), seeds, rounds, st.sampled_from((Fraction(1, 16), 1)))
+def test_weighted_step_matches_loop_reference(inst, seed, r, alpha_factor):
     # Far below the alpha floor most tasks move, so slot draws repeat often.
     g, sp, state = inst
-    params = ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor,
-                            printed_weighted_rule=printed)
+    params = ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor)
     assert step_round_totals(g, sp, state, params, r) == \
         reference_weighted_step(g, sp, state, params, r)
 
@@ -176,12 +174,10 @@ def test_triggers_match_the_exact_condition(g, speed_seed, data):
 
 
 @PROPERTY
-@given(instances(), st.fractions(min_value=1, max_value=8, max_denominator=8), st.booleans())
-def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor, printed):
+@given(instances(), st.fractions(min_value=1, max_value=8, max_denominator=8))
+def test_probability_at_most_one_eighth_above_alpha_floor(inst, factor):
     g, sp, state = inst
-    printed = printed and state.weights is not None
-    params = ProtocolParams(rng_seed=0, alpha=4 * sp.s_max * factor,
-                            printed_weighted_rule=printed)
+    params = ProtocolParams(rng_seed=0, alpha=4 * sp.s_max * factor)
     kernel = RoundKernel(g, sp, params)
     prob = kernel.probabilities(state, triggers(g, sp, state))
     for i, j in g.directed_edges():
@@ -447,12 +443,12 @@ def few_weighted_tasks(draw, max_tasks=5):
 
 
 @settings(max_examples=100, deadline=None)
-@given(few_weighted_tasks(), st.booleans())
+@given(few_weighted_tasks())
 @example((GRAPHS[0], SpeedProfile.from_rationals([1, 2]),
-          LoadState.weighted([[1.0, 1.0, 1.401298464324817e-45], [1.0, 1.0]])), True)
+          LoadState.weighted([[1.0, 1.0, 1.401298464324817e-45], [1.0, 1.0]])))
 @example((GRAPHS[0], SpeedProfile.from_rationals([1, 2]),
-          LoadState.weighted([[1.0, 1.0, 1e-7], [1.0, 1.0]])), True)
-def test_weighted_oracle_matches_enumeration(inst, printed):
+          LoadState.weighted([[1.0, 1.0, 1e-7], [1.0, 1.0]])))
+def test_weighted_oracle_matches_enumeration(inst):
     g, sp, state = inst
     tasks = state.to_payload()["tasks"]
     # Float triggers decide exact ties by rounding; the oracle claims agreement
@@ -461,19 +457,10 @@ def test_weighted_oracle_matches_enumeration(inst, printed):
     loads = [wi / s for wi, s in zip(w, sp.speeds)]
     assume(all(abs(loads[i] - loads[j] - 1 / sp.speeds[j]) > Fraction(1, 10**9)
                for i, j in g.directed_edges()))
-    # Likewise the printed rule's W_i - W_j on a triggered edge. The float W_i
-    # of k tasks is off by up to k * 2^-53 * W_i, and the difference amplifies
-    # that by (W_i + W_j) / |W_i - W_j|. Keep only edges where the amplified
-    # error stays a tenth of the tolerance. (Pinned: 2 + 1.4e-45 sums to 2.0,
-    # so the float drop is 0 where the exact one is 4.4e-47; 2 + 1e-7 is off
-    # by 1e-9 relative.)
-    rounding = len(state.weights) * Fraction(1, 2**53) * 10**13
-    assume(not printed or all(abs(w[i] - w[j]) > rounding * (w[i] + w[j])
-                              for i, j in g.directed_edges()
-                              if loads[i] - loads[j] > 1 / sp.speeds[j]))
-    params = ProtocolParams(rng_seed=0, printed_weighted_rule=printed)
-    moments = node_change_moments(g, sp, state, params)
-    drop, var_sum = helpers.enum_weighted_round(
-        g, list(sp.speeds), tasks, 4 * sp.s_max, printed)
+    # Pinned: a tiny task on the sending node of K2's one triggered edge.
+    # 2 + 1.4e-45 sums to 2.0, so the float W_0 loses the task; 2 + 1e-7 is
+    # rounded. Both float drops agree with the exact ones to about 1e-15.
+    moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0))
+    drop, var_sum = helpers.enum_weighted_round(g, list(sp.speeds), tasks, 4 * sp.s_max)
     assert abs(exact_expected_psi0_drop(moments) - drop) <= 1e-12 * abs(drop)
     assert abs(exact_variance_sum(moments) - var_sum) <= 1e-12 * var_sum

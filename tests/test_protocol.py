@@ -315,30 +315,6 @@ def test_step_round_mc_mean_matches_binomial():
     assert abs(mean - 0.25) <= 3 * se
 
 
-def test_printed_rule_on_unit_tasks_rejected():
-    # Unit tasks run Algorithm 1, so Algorithm 2's printed rule is refused,
-    # at equilibrium too, before any draw.
-    for counts in ((2, 0), (1, 1)):
-        with pytest.raises(ConfigError, match="weighted tasks only"):
-            step_round_totals(K2, UNI2, LoadState.uniform(counts),
-                              params(printed_weighted_rule=True), 0)
-    wst = weighted_all_on_one([1.0, 0.9, 0.8], 2)
-    new, _ = step_round_totals(K2, UNI2, wst, params(printed_weighted_rule=True), 0)
-    assert new.task_count == 3
-
-
-def test_printed_weighted_rule_matches_def_rule_for_uniform_speeds():
-    ws = [0.5, 0.8, 0.3, 0.9, 0.2]
-    st = weighted_all_on_one(ws, 2)
-    p_def = params(seed=5)
-    p_printed = params(seed=5, printed_weighted_rule=True)
-    a = migration_probability(K2, UNI2, st, p_def, 0, 1)
-    b = migration_probability(K2, UNI2, st, p_printed, 0, 1)
-    assert a == pytest.approx(b, rel=1e-12)
-    with pytest.raises(ConfigError):
-        step_round_totals(K2, UNI2, LoadState.uniform((5, 0)), p_printed, 0)
-
-
 def test_weighted_is_nash_is_threshold_condition():
     sp = SpeedProfile.uniform(2)
     st = weighted_all_on_one([1.0, 0.9, 0.8], 2)  # loads (2.7, 0): gap > 1

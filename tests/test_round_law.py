@@ -1,24 +1,25 @@
 """The whole one-round law of the step function against exact enumeration.
 
-Each case fixes a tiny state (K2, P3 or C4; speeds 1,2 or 1,3/2 repeated
-along the nodes; at most 8 unit tasks or 6 weighted tasks, both weighted
-rules) and draws ROUNDS rounds of it from `step_round_totals` in two ways:
-one round at a time under round indices 0..ROUNDS-1 (`test_one_round_law`),
-and all at once as the ROUNDS rows of one stack stepped in one call
-(`test_one_round_law_stacked`). The histogram of next states
-is compared with the exact law from `helpers` by a G-test
-(`helpers.g_test_pvalue`).
+Each of the 13 cases fixes a tiny state (K2, P3 or C4; speeds 1,2 or 1,3/2
+repeated along the nodes; at most 8 unit tasks, or 6 weighted tasks under
+Algorithm 2's one migration rule, labelled "definition") and draws ROUNDS
+rounds of it from `step_round_totals` in two ways: one round at a time under
+round indices 0..ROUNDS-1 (`test_one_round_law`), and all at once as the
+ROUNDS rows of one stack stepped in one call (`test_one_round_law_stacked`).
+The histogram of next states is compared with the exact law from `helpers`
+by a G-test (`helpers.g_test_pvalue`).
 
-Every test runs at level FAMILY_LEVEL / len(CASES) (Bonferroni), so each of
-the two routes fails on a correct kernel with probability at most 1e-4, and
-the gate as a whole with probability at most 2e-4, up to the chi-square
-approximation of the G statistic. In the P3 and C4 states two nodes send
-tasks (all but the weighted P3 state at speeds 1,3/2), so the joint law also
-checks that moves at different nodes, which draw from one stream, are
-independent. The stacked route draws every row from one stream, so it checks
-that rows are identically distributed; `test_rows_of_one_round_are_independent`
-checks that neighbouring rows are independent. alpha is s_max, a quarter of
-the protocol's floor, so tasks move often and the law has many cells.
+Every test runs at level FAMILY_LEVEL / len(CASES) = 1e-4/13 (Bonferroni), so
+each of the two routes fails on a correct kernel with probability at most
+1e-4, and the gate as a whole with probability at most 2e-4, up to the
+chi-square approximation of the G statistic. In the P3 and C4 states two
+nodes send tasks (all but the weighted P3 state at speeds 1,3/2), so the
+joint law also checks that moves at different nodes, which draw from one
+stream, are independent. The stacked route draws every row from one stream,
+so it checks that rows are identically distributed;
+`test_rows_of_one_round_are_independent` checks that neighbouring rows are
+independent. alpha is s_max, a quarter of the protocol's floor, so tasks move
+often and the law has many cells.
 """
 
 from collections import Counter
@@ -49,7 +50,7 @@ CASES = [
     (g, pattern, tasks, rule)
     for g, counts, lists in STATES
     for pattern in ((1, 2), (1, Fraction(3, 2)))
-    for tasks, rule in ((counts, None), (lists, "definition"), (lists, "printed"))
+    for tasks, rule in ((counts, None), (lists, "definition"))
 ]
 # Which tasks leave: six distinct weights on one node whose two neighbors are
 # both lighter, so movers split over two edges and task draws often repeat.
@@ -78,10 +79,8 @@ def _instance(case):
             return tuple(new.counts.tolist())
     else:
         state = LoadState.weighted(tasks)
-        params = ProtocolParams(rng_seed=SEED, alpha=alpha,
-                                printed_weighted_rule=rule == "printed")
-        law = helpers.weighted_round_law(g, list(sp.speeds), tasks, alpha,
-                                         rule == "printed")
+        params = ProtocolParams(rng_seed=SEED, alpha=alpha)
+        law = helpers.weighted_round_law(g, list(sp.speeds), tasks, alpha)
 
         def outcome(new):
             return tuple(tuple(sorted(map(Fraction, node)))
@@ -116,8 +115,7 @@ def test_one_round_law_stacked(case):
 
 
 PAIR_ROWS = 4000
-PAIR_CASES = [c for c in CASES if c[0].node_count == 2 and c[3] in (None, "definition")
-              and c[1] == (1, 2)]
+PAIR_CASES = [c for c in CASES if c[0].node_count == 2 and c[1] == (1, 2)]
 
 
 @pytest.mark.parametrize("case", PAIR_CASES, ids=[_case_id(c) for c in PAIR_CASES])
