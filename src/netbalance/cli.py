@@ -346,9 +346,6 @@ def cmd_run(config_path, out_dir_override=None) -> int:
     params = build_params(cfg, sp)
     stop = build_stop(cfg)
 
-    out_dir = Path(out_dir_override) if out_dir_override else base / cfg.output_directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     lam2 = lambda2_of(g)
     psi_c = critical_value(g, sp, lam2, constant=cfg.protocol_psi_constant)
     # Before the trials, so that a graph past the dense-solve limit fails fast.
@@ -358,6 +355,9 @@ def cmd_run(config_path, out_dir_override=None) -> int:
         psi_threshold=4.0 * psi_c, approx_eps=cfg.protocol_eps,
         collect_trace=cfg.output_trace)
 
+    # Made only now, so that a config error caught above leaves no directory.
+    out_dir = Path(out_dir_override) if out_dir_override else base / cfg.output_directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.output_trace:
         for res in summary.results:
             path = out_dir / f"trace_{res.trial_id}.csv"

@@ -10,12 +10,13 @@ round's draws come from one counter-based stream keyed by (seed, round), so
 any round can be reproduced on its own, whatever ran before it.
 
 A state is a per-node task count plus, for weighted tasks, a task buffer:
-one float array of per-node blocks with slack (`TaskBuffer`), so a round
-writes only the slots its movers touch, and W_i is the fresh `reduceat` sum
-of node i's block. A task's migration probability depends only on its edge
-and the round-start loads, never on its own weight, so the tasks on a node
-are exchangeable and every round draws counts first: one multinomial row
-over (move-to-neighbor..., stay) per node, the same draw in both modes. Unit
+one float array of per-node blocks with slack, laid out in node order and
+delimited by one offsets array (`TaskBuffer`), so a round writes only the
+slots its movers touch, and W_i is the fresh `reduceat` sum of node i's
+block. A task's migration probability depends only on its edge and the
+round-start loads, never on its own weight, so the tasks on a node are
+exchangeable and every round draws counts first: one multinomial row over
+(move-to-neighbor..., stay) per node, the same draw in both modes. Unit
 tasks are anonymous, so that is the whole round; load comparisons are done
 exactly on cross-multiplied integers. Weighted tasks then draw which of a
 node's tasks leave, a uniform ordered sample of distinct tasks split over
@@ -24,8 +25,9 @@ resolve to "no move". A mover's hole is filled by its node's last staying
 task and arrivals are appended (`_move_tasks`). The newest state owns the
 buffer's array and a round writes it in place, while the state it stepped
 keeps an undo diff and rebuilds its own copy if it is read or stepped
-again, so a weighted round costs one block sum per node and work on the
-movers, not a pass over every task.
+again; only a round in which a block would overflow packs every block into
+a new array. So a weighted round costs one block sum per node and work on
+the movers, not a pass over every task.
 
 Many states of one graph (the trials of a run, or independent rounds of one
 state) step together as the rows of a stack: T rows are one state of T
@@ -117,40 +119,35 @@ class _Version:
 class TaskBuffer:
     """Weighted tasks in per-node blocks with slack, in one float array.
 
-    Flat node i owns the block values[start[i] : start[i] + cap[i]] and keeps
-    its counts[i] tasks, in order, at the front of it; the rest of the block
-    is slack. Blocks with room are disjoint and may lie in any order; slots
-    in no block are dead. The last slot of values is in no block, so every
-    block end is a valid index for `np.add.reduceat`. Slots that hold no task
-    keep stale weights or 0, never read as tasks. `values, start, cap =
-    buffer` unpacks it.
+    The blocks lie in flat node order, one after the other: flat node i owns
+    the block values[offsets[i] : offsets[i + 1]] and keeps its counts[i]
+    tasks, in order, at the front of it; the rest of the block is slack. The
+    last slot of values is in no block, so every block end is a valid index
+    for `np.add.reduceat`. Slots that hold no task keep stale weights or 0,
+    never read as tasks.
 
-    The float array is a store that the newest buffer owns: a round that
-    neither packs nor grows a block writes it in place and hands it on to the
+    The float array is a store that the newest buffer owns: a round in which
+    every block fits its new count writes it in place and hands it on to the
     buffer it returns, while the old buffer keeps an undo diff (`_Version`).
     Reading `values` of an older buffer first rebuilds its own copy, so every
     buffer reads as its own tasks; an array read from `values` before such a
     round shows the newer tasks after it. The rows of a stack share its
-    version of the store, each with its own blocks, so a round that writes
-    the stack or any of its rows in place makes all of them older.
+    version of the store, each with its own slice of the offsets, so a round
+    that writes the stack or any of its rows in place makes all of them older.
     """
 
-    __slots__ = ("start", "cap", "_version")
+    __slots__ = ("offsets", "_version")
 
-    def __init__(self, version: _Version, start: np.ndarray, cap: np.ndarray):
+    def __init__(self, version: _Version, offsets: np.ndarray):
         self._version = version
-        self.start = start
-        self.cap = cap
+        self.offsets = offsets
 
     @property
     def values(self) -> np.ndarray:
         return self._version.current().values
 
-    def __iter__(self):
-        return iter((self.values, self.start, self.cap))
-
     def __repr__(self):
-        return f"TaskBuffer(values={self.values!r}, start={self.start!r}, cap={self.cap!r})"
+        return f"TaskBuffer(values={self.values!r}, offsets={self.offsets!r})"
 
     @classmethod
     def packed(cls, weights: np.ndarray, counts: np.ndarray) -> "TaskBuffer":
@@ -159,26 +156,21 @@ class TaskBuffer:
             raise ConfigError("weighted state needs one weight per task")
         values = np.zeros(len(weights) + 1)
         values[:-1] = weights
-        return cls(_Version(values), counts.cumsum() - counts, counts)
+        return cls(_Version(values), _offsets(counts))
 
     def sums(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per-node sums of values over each node's tasks: one `np.add.reduceat`
         over the block bounds, so each is a fresh pairwise sum of its block
         (not left to right) that depends only on the block's contents, and 0
-        on an empty node.
-
-        The bounds go in ascending block order (zero-capacity blocks first at
-        a tie), so the gaps between blocks, whose sums are dropped, are each
-        summed once.
+        on an empty node. The bounds interleave each block's start with the
+        end of its tasks, so the slack tails are summed too and dropped.
         """
-        order = np.lexsort((self.cap, self.start))
-        bounds = np.empty(2 * len(order), dtype=np.int64)
-        bounds[0::2] = self.start[order]
-        bounds[1::2] = self.start[order] + counts[order]
-        out = np.zeros(len(counts))
-        if len(bounds):
-            out[order] = np.where(counts[order] > 0, np.add.reduceat(values, bounds)[0::2], 0.0)
-        return out
+        bounds = np.empty(2 * len(counts), dtype=np.int64)
+        bounds[0::2] = self.offsets[:-1]
+        bounds[1::2] = self.offsets[:-1] + counts
+        if not len(bounds):
+            return np.zeros(0)
+        return np.where(counts > 0, np.add.reduceat(values, bounds)[0::2], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,27 +180,27 @@ class LoadState:
 
     counts[i] is the number of tasks on node i. tasks is None for unit tasks;
     for weighted tasks it is a `TaskBuffer`: one float array of per-node
-    blocks with slack, its block starts and its block capacities, so a round
-    rewrites only the slots its movers touch. `weights` is the public view of
-    the tasks: every task weight, gap-free and grouped by node (node 0's tasks
-    first), None for unit tasks. It is built on first use; rounds never read
-    it, and neither slack nor block order ever shows in it, in `rows`,
-    `to_payload` or `==`. Unit tasks are the weighted case with every weight
-    1, so W_i is counts[i] or the sum of node i's weights. Every array is
-    read-only; equality is by value.
+    blocks with slack, in node order, and the offsets that delimit them, so a
+    round rewrites only the slots its movers touch. `weights` is the public
+    view of the tasks: every task weight, gap-free and grouped by node (node
+    0's tasks first), None for unit tasks. It is built on first use; rounds
+    never read it, and slack never shows in it, in `rows`, `to_payload` or
+    `==`. Unit tasks are the weighted case with every weight 1, so W_i is
+    counts[i] or the sum of node i's weights. Every array is read-only;
+    equality is by value.
 
     A weighted state is a value even though rounds write its buffer's array
     in place (`TaskBuffer`): a state that a round has stepped keeps an undo
     diff, and its next read or step first rebuilds its own copy of the
     array, so `weights`, W_i, `rows`, `to_payload` and the next step all see
-    its own tasks. Its counts, start and cap arrays never change.
+    its own tasks. Its counts and offsets arrays never change.
 
     A stack (`LoadState.stack`) holds T states of one graph as rows: counts
     has shape (T, n), row t's node i is flat node t*n + i, and the task
     buffer has one block per flat node, `weights` holding the tasks of every
     flat node in that order. Per-node quantities then have shape (T, n) and
     per-row ones shape (T,). Weighted rows (`rows`) are views of the stack's
-    buffer.
+    buffer: row t's offsets are offsets[t*n : t*n + n + 1].
     """
 
     counts: np.ndarray
@@ -219,8 +211,7 @@ class LoadState:
             raise ConfigError("task counts must be non-negative")
         self.counts.setflags(write=False)
         if self.tasks is not None:
-            self.tasks.start.setflags(write=False)
-            self.tasks.cap.setflags(write=False)
+            self.tasks.offsets.setflags(write=False)
 
     @classmethod
     def uniform(cls, counts: Iterable[int]) -> "LoadState":
@@ -238,7 +229,10 @@ class LoadState:
         Rounds only move existing tasks, so the range check lives here rather
         than on the per-round constructor path.
         """
-        lists = [[float(w) for w in node] for node in task_lists]
+        try:
+            lists = [[float(w) for w in node] for node in task_lists]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"task weights must be numbers: {exc}") from exc
         weights = np.array([w for node in lists for w in node], dtype=float)
         bad = np.flatnonzero(~((weights > 0.0) & (weights <= 1.0)))
         if bad.size:
@@ -250,6 +244,8 @@ class LoadState:
     def stack(cls, states) -> "LoadState":
         """The given states of one graph as the rows of one stack, in order."""
         states = list(states)
+        if not states:
+            raise ConfigError("a stack needs at least one state")
         if len({s.tasks is None for s in states}) != 1:
             raise ConfigError("a stack holds unit tasks or weighted tasks, not both")
         if len({s.counts.shape for s in states}) != 1 or states[0].stacked:
@@ -264,9 +260,8 @@ class LoadState:
         """Every row of a stack as its own state (views, no copies)."""
         if self.tasks is None:
             return [LoadState(c) for c in self.counts]
-        version, start, cap = self.tasks._version, self.tasks.start, self.tasks.cap
-        n = self.n
-        return [LoadState(c, TaskBuffer(version, start[k:k + n], cap[k:k + n]))
+        version, offsets, n = self.tasks._version, self.tasks.offsets, self.n
+        return [LoadState(c, TaskBuffer(version, offsets[k:k + n + 1]))
                 for c, k in zip(self.counts, range(0, self.counts.size, n))]
 
     def __eq__(self, other):
@@ -282,7 +277,7 @@ class LoadState:
         """Every task weight, gap-free and grouped by (flat) node; None for unit tasks."""
         if self.tasks is None:
             return None
-        w = self.tasks.values[_block_slots(self.tasks.start, self.counts.ravel())]
+        w = self.tasks.values[_block_slots(self.tasks.offsets[:-1], self.counts.ravel())]
         w.setflags(write=False)
         return w
 
@@ -347,12 +342,16 @@ class LoadState:
         return {"mode": MODE_WEIGHTED, "tasks": [t.tolist() for t in per_node]}
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "LoadState":
-        if payload.get("mode") == MODE_UNIFORM:
+    def from_payload(cls, payload) -> "LoadState":
+        """The state a `to_payload` payload describes, read from a file:
+        anything else is a ConfigError."""
+        mode = payload.get("mode") if isinstance(payload, dict) else None
+        if mode == MODE_UNIFORM and isinstance(payload.get("counts"), list):
             return cls.uniform(payload["counts"])
-        if payload.get("mode") == MODE_WEIGHTED:
-            return cls.weighted(payload["tasks"])
-        raise ConfigError(f"unknown state payload {payload!r}")
+        tasks = payload.get("tasks") if mode == MODE_WEIGHTED else None
+        if isinstance(tasks, list) and all(isinstance(node, list) for node in tasks):
+            return cls.weighted(tasks)
+        raise ConfigError(f"malformed state payload {payload!r}")
 
 
 @dataclass(frozen=True)
@@ -587,17 +586,19 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
     When every block fits its new count, the round writes the old buffer's
     store in place: it gathers the fillers and the arrivals first, then
     writes holes and arrivals. The old buffer keeps the overwritten slots
-    with their old values as its undo diff, and its start and cap arrays as
-    they are. A block that would overflow moves to the end of a new
-    buffer with twice its new count as capacity. If that would leave more
-    dead slots (slots holding no task) than half the tasks, every block moves
-    instead, packed in flat node order with a quarter of its count as slack,
-    so a stepped buffer never holds more than 1.5 times its tasks. Only these
-    two allocate, and the old buffer then keeps its store. Apart from them,
-    the round works only on the movers and on the blocks it moves.
+    with their old values as its undo diff, and its offsets as they are.
+    When any block would overflow, the round packs: every block moves, in
+    flat node order, into a new store, with c + c//4 + 4 slots for its new
+    count c, so a packed buffer of m tasks in b blocks holds at most
+    m + m//4 + 4b slots besides the spare one. The quarter keeps large
+    blocks from overflowing again soon; the 4 slots do the same for blocks
+    of a few tasks, where a quarter is no room at all. Only a pack
+    allocates, and the old buffer then keeps its store. Apart from it, the
+    round works only on the movers.
     """
     values = tasks._version.current().array
-    start, cap = tasks.start, tasks.cap
+    offsets = tasks.offsets
+    start = offsets[:-1]
     edge = np.repeat(np.arange(len(moved)), moved)     # movers grouped by node
     src, dst = ev.src[edge], ev.dst[edge]
     pos = _mover_tasks(start[src], counts[src], gen)
@@ -614,41 +615,34 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
     leaves = np.zeros(len(tail), dtype=bool)
     leaves[(left.cumsum() - left - top)[src[~low]] + pos[~low]] = True
     fillers = tail[~leaves][::-1]
-
-    total = int(new_counts.sum())
-    end = len(values) - 1                               # the spare slot: moved blocks go here
-    moving = new_counts > cap
-    grown_cap = 2 * new_counts[moving]
-    if end + grown_cap.sum() - total > total // 2:
-        moving[:] = True
-        cap = new_counts + new_counts // 4
-        start = cap.cumsum() - cap
-        out = np.zeros(int(cap.sum()) + 1)
-    elif grown_cap.size:
-        start, cap = start.copy(), cap.copy()
-        start[moving] = end + grown_cap.cumsum() - grown_cap
-        cap[moving] = grown_cap
-        out = np.zeros(end + int(grown_cap.sum()) + 1)
-        out[:end] = values[:end]
-    else:
-        out = values
-    copied = moving & (kept > 0)       # slice by slice: no task-sized index arrays
-    for new, old, size in zip(start[copied].tolist(), tasks.start[copied].tolist(),
-                              kept[copied].tolist()):
-        out[new:new + size] = values[old:old + size]
     order = np.lexsort((pos, src, dst))                 # (destination, source, slot)
     arrive = dst[order]
     arrivals = np.bincount(arrive, minlength=len(counts))
     rank = np.arange(len(arrive)) - (arrivals.cumsum() - arrivals)[arrive]
-    slots = np.concatenate((holes + (start - tasks.start)[hole_node],
-                            start[arrive] + kept[arrive] + rank))
     incoming = np.concatenate((values[fillers], values[pos[order]]))
-    if out is values:
-        version = tasks._version.hand_on(slots, values[slots])
+
+    if (new_counts <= np.diff(offsets)).all():
+        out = values
     else:
-        version = _Version(out)
+        offsets = _offsets(new_counts + new_counts // 4 + 4)
+        out = np.zeros(int(offsets[-1]) + 1)
+        copied = kept > 0              # slice by slice: no task-sized index arrays
+        for new, old, size in zip(offsets[:-1][copied].tolist(), start[copied].tolist(),
+                                  kept[copied].tolist()):
+            out[new:new + size] = values[old:old + size]
+        holes = holes + (offsets[:-1] - start)[hole_node]
+    slots = np.concatenate((holes, offsets[:-1][arrive] + kept[arrive] + rank))
+    version = tasks._version.hand_on(slots, values[slots]) if out is values else _Version(out)
     out[slots] = incoming
-    return TaskBuffer(version, start, cap)
+    return TaskBuffer(version, offsets)
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Block offsets for blocks of the given sizes laid out in order: 0, then
+    the running sums."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
 
 def _block_slots(first, size) -> np.ndarray:

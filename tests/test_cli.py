@@ -231,15 +231,20 @@ def test_cmd_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert "tol must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["protocol.variant = algorithm1",
-                                  "protocol.printed_rule = false"],
-                         ids=["variant", "printed_rule"])
-def test_protocol_variant_key_is_unknown(tmp_path, capsys, line):
+@pytest.mark.parametrize("line, message", [
+    ("protocol.variant = algorithm1", "unknown key 'protocol.variant'"),
+    ("protocol.printed_rule = false", "unknown key 'protocol.printed_rule'"),
+    ("protocol.psi_constant = 12", "psi_c constant must be 8 or 16"),
+    ("protocol.eps = 2", "eps must lie in (0, 1)"),
+], ids=["variant", "printed_rule", "psi_constant", "exact_ne_eps"])
+def test_protocol_variant_key_is_unknown(tmp_path, capsys, line, message):
     # Retired keys: the tasks decide the algorithm, and Algorithm 2 has one
-    # migration rule. Even a retired key's old default is refused.
+    # migration rule. Even a retired key's old default is refused. Like them,
+    # values caught only after parsing (psi_c's constant when psi_c is
+    # computed, eps under exact-ne at round 0) write no output directory.
     text = BASIC_CONFIG + line + "\n"
     assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
-    assert f"unknown key '{line.split(' =')[0]}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

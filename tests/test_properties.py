@@ -238,26 +238,26 @@ def step_and_check_slack(g, sp, states, params, rounds):
     buffer's slack never shows: `weights`, `to_payload`, `rows` and `==` see
     gap-free tasks grouped by node, each row keeps its weight multiset, W_i
     is the block sum of the gap-free tasks, and the stack steps exactly as
-    its gap-free rebuild. Returns the rounds that moved a block and the
-    rounds that packed the buffer."""
+    its gap-free rebuild. The blocks lie in node order, each holding its
+    count, in a store no larger than the pack rule allows. Returns the
+    rounds that packed the buffer (the only ones that allocate a store)."""
     kernel = RoundKernel(g, sp, params)
     stack = LoadState.stack(states)
-    moved_blocks = packed = 0
+    packed = 0
     for r in range(rounds):
         trig = triggers(g, sp, stack)
         rebuilt = LoadState.stack(LoadState.from_payload(row.to_payload())
                                   for row in stack.rows())
+        old_values = stack.tasks.values
         new, moves = kernel.step(stack, r, trig)
         again, again_moves = kernel.step(rebuilt, r, trig)
         assert new == again and moves.tolist() == again_moves.tolist()
-        values, start, cap = new.tasks
-        counts = new.counts.ravel()
-        assert (counts <= cap).all() and (start + cap <= len(values) - 1).all()
-        order = np.argsort(start[cap > 0])
-        assert (start[cap > 0][order][1:] >= (start + cap)[cap > 0][order][:-1]).all()
-        assert 2 * (len(values) - 1) <= 3 * new.task_count
-        moved_blocks += not np.array_equal(start[:len(stack.tasks.start)], stack.tasks.start)
-        packed += len(values) < len(stack.tasks.values)
+        values, offsets = new.tasks.values, new.tasks.offsets
+        counts, m = new.counts.ravel(), new.task_count
+        assert offsets[0] == 0 and (np.diff(offsets) >= 0).all()
+        assert (counts <= np.diff(offsets)).all() and len(values) == offsets[-1] + 1
+        assert len(values) - 1 <= m + m // 4 + 4 * len(counts)
+        packed += not np.shares_memory(values, old_values)
         stack = new
         assert len(stack.weights) == stack.task_count
         rows = stack.rows()
@@ -270,7 +270,7 @@ def step_and_check_slack(g, sp, states, params, rounds):
         rebuilt = LoadState.stack(LoadState.from_payload(row.to_payload()) for row in rows)
         assert stack == rebuilt and rebuilt == stack
         assert np.array_equal(stack.node_weights(), rebuilt.node_weights())
-    return moved_blocks, packed
+    return packed
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +279,7 @@ def test_slack_never_shows(inst, seed, alpha_factor):
     g, sp, states = inst
     if states[0].weights is None:
         states = [LoadState.weighted([[0.5] * int(c) for c in s.counts]) for s in states]
-    # All of a row's tasks on its first node, so blocks fill, move and pack.
+    # All of a row's tasks on its first node, so blocks overflow and the buffer packs.
     states = [LoadState.weighted([list(s.weights)] + [[]] * (g.node_count - 1))
               for s in states]
     step_and_check_slack(g, sp, states, ProtocolParams(
@@ -288,14 +288,14 @@ def test_slack_never_shows(inst, seed, alpha_factor):
 
 def test_slack_blocks_move_and_pack():
     # Far below the alpha floor, with every task on one node, blocks
-    # overflow and move, and the buffer packs again, within a few rounds.
+    # overflow and the buffer packs again and again, within a few rounds.
     g = GRAPHS[2]
     sp = SpeedProfile.from_rationals([1, 2, 1, 2])
     rng = np.random.default_rng(0)
     states = [LoadState.weighted([list(1.0 - rng.random(40)), [], [], []]) for _ in range(3)]
-    moved_blocks, packed = step_and_check_slack(
+    packed = step_and_check_slack(
         g, sp, states, ProtocolParams(rng_seed=5, alpha=sp.s_max / 4), 30)
-    assert moved_blocks >= 3 and packed >= 2
+    assert packed >= 2
 
 
 def read_state(state):

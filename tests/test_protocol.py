@@ -239,7 +239,7 @@ def test_weighted_node_weights_match_task_lists_after_many_rounds():
 
 
 def test_in_place_round_allocates_no_buffer_copy():
-    # A weighted round that neither packs nor grows a block writes its movers
+    # A weighted round that does not pack the buffer writes its movers
     # into the buffer in place, so what it allocates is sized by the nodes
     # and the movers, not by the 2^17 tasks (tracemalloc sees numpy's data).
     g = make_graph("torus2d", rows=8, cols=8)
@@ -248,7 +248,7 @@ def test_in_place_round_allocates_no_buffer_copy():
     counts = gen.multinomial(1 << 17, np.full(64, 1 / 64))
     st = LoadState.weighted(np.split(1.0 - gen.random(1 << 17), np.cumsum(counts)[:-1]))
     kernel = RoundKernel(g, sp, params(seed=1))
-    for r in range(3):      # the first round grows blocks and packs the buffer
+    for r in range(3):      # the first round packs the buffer
         st, _ = kernel.step(st, r, triggers(g, sp, st))
     trig = triggers(g, sp, st)
     values = st.tasks.values
@@ -258,8 +258,28 @@ def test_in_place_round_allocates_no_buffer_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert moved > 0 and np.shares_memory(new.tasks.values, values)    # neither packed nor grew
+    assert moved > 0 and np.shares_memory(new.tasks.values, values)    # did not pack
     assert peak < values.nbytes // 8
+
+
+def test_small_blocks_rarely_pack():
+    # Blocks of a few tasks (8 trials of 64 tasks placed at random on a 4x4
+    # torus) overflow on the first round, which packs the gap-free buffer.
+    # After it, the pack rule's floor of 4 slots per block leaves room for
+    # the few tasks a small block gains, so later rounds allocate no new
+    # store; a quarter or a half of the count as slack, with no floor,
+    # packs on 8 to 26 of the 39 later rounds here (seeds 1-5).
+    g = make_graph("torus2d", rows=4, cols=4)
+    sp = SpeedProfile.uniform(16)
+    stack = LoadState.stack(weighted_random_placement(random_task_weights(64, t), 16, t)
+                            for t in range(8))
+    kernel = RoundKernel(g, sp, params(seed=1))
+    packs = []
+    for r in range(40):
+        values = stack.tasks.values
+        stack, _ = kernel.step(stack, r, triggers(g, sp, stack))
+        packs.append(not np.shares_memory(stack.tasks.values, values))
+    assert packs[0] and sum(packs[1:]) <= 3
 
 
 def test_block_sums_of_empty_nodes_rows_and_states():
@@ -291,6 +311,28 @@ def test_to_payload_rejects_stacks():
         with pytest.raises(ConfigError, match="not a stack"):
             stack.to_payload()
         assert [LoadState.from_payload(r.to_payload()) for r in stack.rows()] == [st, st]
+
+
+def test_empty_stack_is_config_error():
+    with pytest.raises(ConfigError, match="at least one state"):
+        LoadState.stack([])
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "uniform"}, {"mode": "uniform", "counts": 3},
+    {"mode": "uniform", "counts": [1, "2"]}, {"mode": "uniform", "counts": [1, 0.5]},
+    {"mode": "uniform", "counts": [-1, 2]},
+    {"mode": "weighted"}, {"mode": "weighted", "tasks": 5}, {"mode": "weighted", "tasks": ["1"]},
+    {"mode": "weighted", "tasks": [[0.5, "x"]]}, {"mode": "weighted", "tasks": [[0.5, None]]},
+    {"mode": "weighted", "tasks": [[0.5, [1]]]}, {"mode": "weighted", "tasks": [[1.5]]},
+    {"mode": "both", "counts": [1]}, {}, [], "uniform", None,
+])
+def test_from_payload_rejects_malformed(payload):
+    # Payloads come from files (counterexample artifacts, corpora), so every
+    # malformed one is a ConfigError, never a KeyError, ValueError or
+    # AttributeError.
+    with pytest.raises(ConfigError):
+        LoadState.from_payload(payload)
 
 
 def test_step_round_all_probabilities_clamped_at_degree_20():
