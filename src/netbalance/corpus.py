@@ -18,6 +18,7 @@ from .graphs import GraphTopology, make_graph
 from .protocol import (
     LoadState,
     all_on_one_state,
+    is_nash,
     near_balanced_state,
     random_placement_state,
     random_task_weights,
@@ -97,8 +98,6 @@ def default_corpus(nash_only: bool = False) -> list[CorpusCase]:
     `nash_only` is a diagnostic subset: on it every drop lower bound is
     vacuous or has a non-positive right-hand side.
     """
-    from .protocol import is_nash
-
     cases: list[CorpusCase] = []
     for gname, g in corpus_graphs():
         for sname, sp in corpus_speeds(g.node_count):

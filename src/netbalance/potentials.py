@@ -22,8 +22,8 @@ assemblers are functions of its result. It visits only the edges that
 from those arrays, so the oracles and the round agree on every edge by
 construction. Exactness is set by the number type of the pass's inputs: unit
 tasks give Python ints against Fraction speeds and alpha, so the oracles
-return exact Fractions; weighted tasks give floats, and the same closed form
-runs in floating point.
+return exact Fractions; weighted tasks give floats of their exact W_i, and
+the same closed form runs in floating point over the exact trigger mask.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import GraphTopology
 from .protocol import (
+    WEIGHT_UNITS,
     LoadState,
     ProtocolParams,
     RoundKernel,
@@ -148,9 +149,10 @@ def moment_inputs(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> Momen
     """The alpha-free inputs of `node_change_moments`, built once per state.
 
     Unit tasks give Python ints against Fraction speeds, so every later value
-    is an exact Fraction; a state past the exact trigger's int64 guard is a
-    ConfigError. Weighted tasks give floats, and loads are the products
-    W_i * (1/s_i) that the trigger compares.
+    is an exact Fraction. Weighted tasks give floats of the exact W_i (and a
+    float sum of w^2, as int64 squares of units overflow from 512 tasks of
+    weight 1 on a node); their triggered edges are exact too, and only their
+    moments round. A state past the trigger's int64 guard is a ConfigError.
     """
     if state.tasks is None:
         w = state.counts.tolist()   # Python ints: no numpy scalar meets a Fraction
@@ -161,7 +163,7 @@ def moment_inputs(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> Momen
         zero = Fraction(0)
     else:
         w = state.node_weights().tolist()
-        sq = state.node_sums(2).tolist()
+        sq = state.tasks.sums(state.counts, (state.tasks.values / WEIGHT_UNITS) ** 2).tolist()
         inv = sp.inv_floats.tolist()
         e = state.deviations(sp).tolist()
         zero = 0.0
@@ -186,9 +188,7 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     if inputs is None:
         inputs = moment_inputs(g, sp, state)
     w, sq, inv, _, loads, _, zero = inputs
-    alpha = resolve_alpha(params, sp)
-    if state.tasks is not None:
-        alpha = float(alpha)
+    alpha = resolve_alpha(params, sp) + zero   # typed like the inputs: a float for weighted tasks
     one = zero + 1   # typed: clamping to a bare int 1 would make q = 1 / deg_i a float
     n = g.node_count
     mu = [zero] * n

@@ -10,24 +10,21 @@ round's draws come from one counter-based stream keyed by (seed, round), so
 any round can be reproduced on its own, whatever ran before it.
 
 A state is a per-node task count plus, for weighted tasks, a task buffer:
-one float array of per-node blocks with slack, laid out in node order and
+one int64 array of per-node blocks with slack, laid out in node order and
 delimited by one offsets array (`TaskBuffer`), so a round writes only the
-slots its movers touch, and W_i is the fresh `reduceat` sum of node i's
-block. A task's migration probability depends only on its edge and the
-round-start loads, never on its own weight, so the tasks on a node are
-exchangeable and every round draws counts first: one multinomial row over
-(move-to-neighbor..., stay) per node, the same draw in both modes. Unit
-tasks are anonymous, so that is the whole round; load comparisons are done
-exactly on cross-multiplied integers. Weighted tasks then draw which of a
-node's tasks leave, a uniform ordered sample of distinct tasks split over
-its out-edges in order; comparisons are strict floating-point, and ties
-resolve to "no move". A mover's hole is filled by its node's last staying
-task and arrivals are appended (`_move_tasks`). The newest state owns the
-buffer's array and a round writes it in place, while the state it stepped
-keeps an undo diff and rebuilds its own copy if it is read or stepped
-again; only a round in which a block would overflow packs every block into
-a new array. So a weighted round costs one block sum per node and work on
-the movers, not a pass over every task.
+slots its movers touch. A weight is a whole number of units of 1/WEIGHT_UNITS,
+so W_i is the exact integer sum of node i's block. A task's migration
+probability depends only on its edge and the round-start loads, never on its
+own weight, so the tasks on a node are exchangeable and every round draws
+counts first: one multinomial row over (move-to-neighbor..., stay) per node,
+the same draw in both modes. Unit tasks are anonymous, so that is the whole
+round. Weighted tasks then draw which of a node's tasks leave, a uniform
+ordered sample of distinct tasks split over its out-edges in order. A
+mover's hole is filled by its node's last staying task and arrivals are
+appended (`_move_tasks`). The newest state owns the buffer's array and a
+round writes it in place, while the state it stepped keeps an undo diff and
+rebuilds its own copy if it is read or stepped again; only a round in which
+a block would overflow packs every block into a new array.
 
 Many states of one graph (the trials of a run, or independent rounds of one
 state) step together as the rows of a stack: T rows are one state of T
@@ -37,14 +34,14 @@ shared by the rows, which draw in flat node order, row 0 first; a row whose
 triggers the caller clears draws nothing and stays as it is. A bare state
 draws exactly what the one-row stack of it draws.
 
-One function, `triggers`, decides which directed edges trigger; the round,
-the equilibrium predicates and the oracles all read its mask. Derived arrays
-live on the objects that own their inputs, not in module-level caches: the
-graph holds its edge arrays, the speed profile its int64 multipliers and
-inverse speeds, and a `RoundKernel` what depends on alpha and the seed
-(per-edge denominators, the round stream's key and the one generator it
-re-keys for every round) with the edge arrays of the stack it steps. A run
-builds one kernel; `step_round_totals` one per call.
+One function, `triggers`, decides exactly, in both modes, which directed
+edges trigger; the round, the equilibrium predicates and the oracles all
+read its mask. Derived arrays live on the objects that own their inputs, not
+in module-level caches: the graph holds its edge arrays, the speed profile
+its int64 multipliers and inverse speeds, and a `RoundKernel` what depends
+on alpha and the seed (per-edge denominators, the round stream's key and the
+one generator it re-keys for every round) with the edge arrays of the stack
+it steps. A run builds one kernel; `step_round_totals` one per call.
 """
 
 from __future__ import annotations
@@ -73,10 +70,12 @@ MODE_UNIFORM = "uniform"
 MODE_WEIGHTED = "weighted"
 
 _INT_GUARD = 1 << 62
+#: Weighted tasks hold whole units of 1/WEIGHT_UNITS: W_i is an exact integer.
+WEIGHT_UNITS = 1 << 27
 
 
 class _Version:
-    """One version of a task buffer's float array, after Baker's version
+    """One version of a task buffer's array, after Baker's version
     arrays ("Shallow binding makes functional arrays fast", 1991).
 
     The newest version owns the array (`array`, and `values`, its read-only
@@ -117,7 +116,7 @@ class _Version:
 
 
 class TaskBuffer:
-    """Weighted tasks in per-node blocks with slack, in one float array.
+    """Weighted tasks, as int64 weight units, in per-node blocks with slack.
 
     The blocks lie in flat node order, one after the other: flat node i owns
     the block values[offsets[i] : offsets[i + 1]] and keeps its counts[i]
@@ -126,7 +125,7 @@ class TaskBuffer:
     for `np.add.reduceat`. Slots that hold no task keep stale weights or 0,
     never read as tasks.
 
-    The float array is a store that the newest buffer owns: a round in which
+    The array is a store that the newest buffer owns: a round in which
     every block fits its new count writes it in place and hands it on to the
     buffer it returns, while the old buffer keeps an undo diff (`_Version`).
     Reading `values` of an older buffer first rebuilds its own copy, so every
@@ -150,27 +149,25 @@ class TaskBuffer:
         return f"TaskBuffer(values={self.values!r}, offsets={self.offsets!r})"
 
     @classmethod
-    def packed(cls, weights: np.ndarray, counts: np.ndarray) -> "TaskBuffer":
-        """Gap-free weights grouped by flat node, each block exactly full."""
-        if len(weights) != counts.sum():
+    def packed(cls, units: np.ndarray, counts: np.ndarray) -> "TaskBuffer":
+        """Gap-free int64 weight units grouped by flat node, each block exactly full."""
+        if len(units) != counts.sum():
             raise ConfigError("weighted state needs one weight per task")
-        values = np.zeros(len(weights) + 1)
-        values[:-1] = weights
-        return cls(_Version(values), _offsets(counts))
+        return cls(_Version(np.append(units, 0)), _offsets(counts))   # plus the spare slot
 
     def sums(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Per-node sums of values over each node's tasks: one `np.add.reduceat`
-        over the block bounds, so each is a fresh pairwise sum of its block
-        (not left to right) that depends only on the block's contents, and 0
-        on an empty node. The bounds interleave each block's start with the
-        end of its tasks, so the slack tails are summed too and dropped.
+        """Per-node sums of values (the store, or an array of its shape) over
+        each node's tasks: one `np.add.reduceat` over the block bounds, 0 on
+        an empty node, so the exact W_i in units on the store. The bounds
+        interleave each block's start with the end of its tasks, so the slack
+        tails are summed too and dropped.
         """
         bounds = np.empty(2 * len(counts), dtype=np.int64)
         bounds[0::2] = self.offsets[:-1]
         bounds[1::2] = self.offsets[:-1] + counts
         if not len(bounds):
-            return np.zeros(0)
-        return np.where(counts > 0, np.add.reduceat(values, bounds)[0::2], 0.0)
+            return np.zeros(0, dtype=values.dtype)
+        return np.where(counts > 0, np.add.reduceat(values, bounds)[0::2], 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +176,14 @@ class LoadState:
     a task buffer.
 
     counts[i] is the number of tasks on node i. tasks is None for unit tasks;
-    for weighted tasks it is a `TaskBuffer`: one float array of per-node
-    blocks with slack, in node order, and the offsets that delimit them, so a
-    round rewrites only the slots its movers touch. `weights` is the public
-    view of the tasks: every task weight, gap-free and grouped by node (node
-    0's tasks first), None for unit tasks. It is built on first use; rounds
-    never read it, and slack never shows in it, in `rows`, `to_payload` or
-    `==`. Unit tasks are the weighted case with every weight 1, so W_i is
-    counts[i] or the sum of node i's weights. Every array is read-only;
-    equality is by value.
+    for weighted tasks it is a `TaskBuffer` of weight units (1/WEIGHT_UNITS
+    each), so a round rewrites only the slots its movers touch. `units` is
+    the public view of the tasks: every task's units, gap-free and grouped by
+    node (node 0's tasks first), `weights` the same as exact floats, both
+    None for unit tasks. They are built on first use; rounds never read them,
+    and slack never shows in them, in `rows`, `to_payload` or `==`. A unit
+    task is one unit of 1 (`quantum`), so `node_units` is counts[i] or the
+    exact sum of node i's units. Every array is read-only; equality is by value.
 
     A weighted state is a value even though rounds write its buffer's array
     in place (`TaskBuffer`): a state that a round has stepped keeps an undo
@@ -226,8 +222,9 @@ class LoadState:
     def weighted(cls, task_lists) -> "LoadState":
         """Ingest per-node task weights, enforcing w in (0, 1].
 
-        Rounds only move existing tasks, so the range check lives here rather
-        than on the per-round constructor path.
+        Each weight is stored as max(1, rint(w * WEIGHT_UNITS)) units, within
+        2^-27 of w, so no weight in (0, 1] is lost. Rounds only move existing
+        tasks, so the range check lives here, not on the per-round path.
         """
         try:
             lists = [[float(w) for w in node] for node in task_lists]
@@ -238,7 +235,8 @@ class LoadState:
         if bad.size:
             raise ConfigError(f"task weight {weights[bad[0]]} outside (0, 1]")
         counts = np.array([len(node) for node in lists], dtype=np.int64)
-        return cls(counts, TaskBuffer.packed(weights, counts))
+        units = np.maximum(np.rint(weights * WEIGHT_UNITS), 1).astype(np.int64)
+        return cls(counts, TaskBuffer.packed(units, counts))
 
     @classmethod
     def stack(cls, states) -> "LoadState":
@@ -253,8 +251,8 @@ class LoadState:
         counts = np.stack([s.counts for s in states])
         if states[0].tasks is None:
             return cls(counts)
-        weights = np.concatenate([s.weights for s in states])
-        return cls(counts, TaskBuffer.packed(weights, counts.ravel()))
+        units = np.concatenate([s.units for s in states])
+        return cls(counts, TaskBuffer.packed(units, counts.ravel()))
 
     def rows(self) -> list["LoadState"]:
         """Every row of a stack as its own state (views, no copies)."""
@@ -270,16 +268,23 @@ class LoadState:
         if (self.tasks is None) != (other.tasks is None):
             return False
         return np.array_equal(self.counts, other.counts) and (
-            self.tasks is None or np.array_equal(self.weights, other.weights))
+            self.tasks is None or np.array_equal(self.units, other.units))
+
+    @cached_property
+    def units(self) -> np.ndarray | None:
+        """Every task's weight units, gap-free and grouped by (flat) node; None for unit tasks."""
+        return None if self.tasks is None else _read_only(
+            self.tasks.values[_block_slots(self.tasks.offsets[:-1], self.counts.ravel())])
 
     @cached_property
     def weights(self) -> np.ndarray | None:
-        """Every task weight, gap-free and grouped by (flat) node; None for unit tasks."""
-        if self.tasks is None:
-            return None
-        w = self.tasks.values[_block_slots(self.tasks.offsets[:-1], self.counts.ravel())]
-        w.setflags(write=False)
-        return w
+        """Every task weight as a float, in the order of `units`; None for unit tasks."""
+        return None if self.tasks is None else _read_only(self.units / WEIGHT_UNITS)
+
+    @property
+    def quantum(self) -> int:
+        """Units per unit of weight: 1 for unit tasks, WEIGHT_UNITS for weighted ones."""
+        return 1 if self.tasks is None else WEIGHT_UNITS
 
     @property
     def mode(self) -> str:
@@ -297,30 +302,25 @@ class LoadState:
     def task_count(self) -> int:
         return int(self.counts.sum())
 
-    def node_sums(self, power: int = 1) -> np.ndarray:
-        """sum of w**power over each node's tasks as floats, shaped like counts.
-
-        Each is a fresh sum of the node's own block (`TaskBuffer.sums`), so no
-        error carries over from earlier rounds.
-        """
-        if self.tasks is None:
-            return self.counts.astype(float)
-        values = self.tasks.values if power == 1 else self.tasks.values ** power
-        return self.tasks.sums(self.counts.ravel(), values).reshape(self.counts.shape)
-
     @cached_property
-    def _node_weights(self) -> np.ndarray:
-        w = self.node_sums()
-        w.setflags(write=False)
-        return w
+    def _node_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        units = self.counts if self.tasks is None else _read_only(
+            self.tasks.sums(self.counts.ravel(), self.tasks.values).reshape(self.counts.shape))
+        return units, _read_only(units / self.quantum)
+
+    def node_units(self) -> np.ndarray:
+        """W_i in units per node as a read-only int64 array shaped like counts:
+        the counts, or the exact sum of each node's weight units."""
+        return self._node_sums[0]
 
     def node_weights(self) -> np.ndarray:
-        """W_i per node as a read-only float array, summed from this state's tasks."""
-        return self._node_weights
+        """W_i per node as a read-only float array: node_units() / quantum, the
+        exact W_i, rounded only past 2^53 units."""
+        return self._node_sums[1]
 
     def total_weight(self):
         """W as a float, or per row for a stack."""
-        total = self.node_weights().sum(axis=-1)
+        total = self.node_units().sum(axis=-1) / self.quantum
         return total if self.stacked else float(total)
 
     def loads(self, sp: SpeedProfile) -> np.ndarray:
@@ -389,22 +389,18 @@ def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray
     """Directed-edge mask, in `g.edge_arrays` order (per row for a stack), of
     the strict migration condition l_i - l_j > 1/s_j.
 
-    Every question of which edges trigger is answered here. Unit tasks compare
-    exactly, on int64 cross products w_i*n_j - w_j*n_i > n_i with s_i = n_i*eps,
-    and raise ConfigError where those could overflow. Weighted tasks compare
-    the float loads W_i * (1/s_i); ties resolve to "no move".
+    Every question of which edges trigger is answered here, exactly and alike
+    for both modes: with W_i = w_i/Q (w_i from `node_units`, Q the `quantum`)
+    and s_i = n_i*eps, it is w_i*n_j - w_j*n_i > n_i*Q on int64 cross
+    products; a state whose products could overflow is a ConfigError.
     """
     if sp.n != g.node_count:
         raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
     ev = g.edge_arrays
-    if state.tasks is None:
-        w, mult = state.counts, sp.int_multipliers
-        if w.size and int(w.max()) * (int(mult.max()) + 1) >= _INT_GUARD:
-            raise ConfigError("task counts too large for exact 64-bit comparisons")
-        return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > mult[ev.src]
-    inv = sp.inv_floats
-    loads = state.node_weights() * inv
-    return loads[..., ev.src] - loads[..., ev.dst] > inv[ev.dst]
+    w, mult, q = state.node_units(), sp.int_multipliers, state.quantum
+    if w.size and max(int(w.max()), q) * (int(mult.max()) + 1) >= _INT_GUARD:
+        raise ConfigError("task loads too large for exact 64-bit comparisons")
+    return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > q * mult[ev.src]
 
 
 class RoundKernel:
@@ -625,7 +621,7 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
         out = values
     else:
         offsets = _offsets(new_counts + new_counts // 4 + 4)
-        out = np.zeros(int(offsets[-1]) + 1)
+        out = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
         copied = kept > 0              # slice by slice: no task-sized index arrays
         for new, old, size in zip(offsets[:-1][copied].tolist(), start[copied].tolist(),
                                   kept[copied].tolist()):
@@ -635,6 +631,11 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
     version = tasks._version.hand_on(slots, values[slots]) if out is values else _Version(out)
     out[slots] = incoming
     return TaskBuffer(version, offsets)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -684,11 +685,11 @@ def near_balanced_state(sp: SpeedProfile, m: int) -> LoadState:
 
 
 def random_task_weights(count: int, seed: int) -> tuple[float, ...]:
-    """count weights drawn uniformly from (0, 1]."""
+    """count weights drawn uniformly from the multiples of 1/WEIGHT_UNITS in (0, 1]."""
     if count < 0:
         raise ConfigError(f"task count must be non-negative, got {count}")
     gen = keyed_generator(seed, STREAM_WEIGHTS)
-    return tuple(float(w) for w in 1.0 - gen.random(count))
+    return tuple((gen.integers(1, WEIGHT_UNITS, count, endpoint=True) / WEIGHT_UNITS).tolist())
 
 
 def weighted_all_on_one(weights: Iterable[float], n: int, node: int = 0) -> LoadState:
@@ -700,11 +701,11 @@ def weighted_all_on_one(weights: Iterable[float], n: int, node: int = 0) -> Load
 
 
 def weighted_random_placement(weights: Iterable[float], n: int, seed: int) -> LoadState:
-    gen = keyed_generator(seed, STREAM_PLACEMENT)
-    lists: list[list[float]] = [[] for _ in range(n)]
-    for w in weights:
-        lists[int(gen.integers(0, n))].append(float(w))
-    return LoadState.weighted(lists)
+    """Each task picks a node independently and uniformly, keeping input order per node."""
+    weights = np.fromiter(weights, dtype=float)
+    node = keyed_generator(seed, STREAM_PLACEMENT).integers(0, n, size=len(weights))
+    by_node = weights[np.argsort(node, kind="stable")]
+    return LoadState.weighted(np.split(by_node, np.cumsum(np.bincount(node, minlength=n))[:-1]))
 
 
 def weighted_near_balanced(weights: Iterable[float], sp: SpeedProfile) -> LoadState:

@@ -287,15 +287,14 @@ def test_exact_ne_alpha_default_for_unit_tasks(tmp_path):
 
 def test_speed_multipliers_past_int64_are_config_errors(tmp_path):
     # s_1 = 1 + 10^-20 makes the speed multipliers about 10^20, too large for
-    # the exact unit-task trigger; weighted tasks compare floats and never
-    # need them.
+    # the exact trigger, which unit and weighted tasks share.
     base = ("graph.family = cycle\ngraph.n = 4\nspeeds.mode = explicit\n"
             "speeds.values = 1,100000000000000000001/100000000000000000000,1,1\n"
             "tasks.count = 8\nrun.stop = fixed-rounds\nrun.rounds = 2\nrun.master_seed = 1\n")
     unit = write_config(tmp_path, base, "unit.cfg")
     assert main(["run", str(unit)]) == EXIT_CONFIG
     weighted = write_config(tmp_path, base + "tasks.mode = weighted-random\n", "weighted.cfg")
-    assert main(["run", str(weighted)]) == EXIT_OK
+    assert main(["run", str(weighted)]) == EXIT_CONFIG
 
 
 def test_malformed_task_counts_are_config_errors(tmp_path):

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netbalance.graphs import make_graph
@@ -21,6 +21,7 @@ from netbalance.potentials import (
     node_change_moments,
 )
 from netbalance.protocol import (
+    WEIGHT_UNITS,
     LoadState,
     ProtocolParams,
     RoundKernel,
@@ -158,19 +159,57 @@ def test_weighted_step_matches_loop_reference(inst, seed, r, alpha_factor):
         reference_weighted_step(g, sp, state, params, r)
 
 
+def assert_exact_triggers(g, sp, state, node_weights):
+    """The one trigger mask is l_i - l_j > 1/s_j in Fractions, edge by edge."""
+    mask = triggers(g, sp, state)
+    loads = [Fraction(w) / s for w, s in zip(node_weights, sp.speeds)]
+    ev = g.edge_arrays
+    for e, (i, j) in enumerate(zip(ev.src.tolist(), ev.dst.tolist())):
+        assert mask[e] == (loads[i] - loads[j] > 1 / sp.speeds[j])
+
+
 @PROPERTY
 @given(st.sampled_from(GRAPHS), st.integers(0, 2**32 - 1), st.data())
 def test_triggers_match_the_exact_condition(g, speed_seed, data):
-    # The one trigger mask is l_i - l_j > 1/s_j in Fractions, edge by edge.
     n = g.node_count
     sp = SpeedProfile.from_rationals(
         helpers.random_rational_speeds(np.random.default_rng(speed_seed), n))
     counts = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
-    mask = triggers(g, sp, LoadState.uniform(counts))
-    loads = [c / s for c, s in zip(counts, sp.speeds)]
-    ev = g.edge_arrays
-    for e, (i, j) in enumerate(zip(ev.src.tolist(), ev.dst.tolist())):
-        assert mask[e] == (loads[i] - loads[j] > 1 / sp.speeds[j])
+    assert_exact_triggers(g, sp, LoadState.uniform(counts), counts)
+
+
+@st.composite
+def eighth_weights(draw):
+    """A weighted state with weights k/8: exact ties l_i - l_j = 1/s_j are common."""
+    g = draw(st.sampled_from(GRAPHS))
+    pattern = draw(st.sampled_from(SPEED_PATTERNS))
+    sp = SpeedProfile.from_rationals([pattern[i % 2] for i in range(g.node_count)])
+    eighth = st.integers(1, 8).map(lambda k: k / 8)
+    return g, sp, draw(st.lists(st.lists(eighth, max_size=6), min_size=g.node_count,
+                                max_size=g.node_count))
+
+
+@PROPERTY
+@given(eighth_weights())
+@example((GRAPHS[0], SpeedProfile.from_rationals([1, Fraction(3, 2)]), [[1.0], [0.5]]))
+def test_weighted_triggers_match_the_exact_condition(inst):
+    g, sp, lists = inst
+    assert_exact_triggers(g, sp, LoadState.weighted(lists),
+                          [sum(map(Fraction, node), Fraction(0)) for node in lists])
+
+
+@PROPERTY
+@given(st.lists(st.lists(weights, max_size=5), min_size=1, max_size=4))
+@example([[5e-324, 1e-300, 2.0**-28], [1.0, 1.5 * 2.0**-27, 2.0**-27]])
+def test_weighted_payload_round_trip(lists):
+    # Every weight in (0, 1], subnormal ones too, is stored within 2^-27 as a
+    # whole number of units, at least one; the payload reloads to the same state.
+    state = LoadState.weighted(lists)
+    flat = [w for node in lists for w in node]
+    assert (state.units >= 1).all() and (state.units <= WEIGHT_UNITS).all()
+    assert all(abs(a - b) <= 2.0**-27 for a, b in zip(state.weights.tolist(), flat))
+    again = LoadState.from_payload(state.to_payload())
+    assert again == state and again.units.tolist() == state.units.tolist()
 
 
 @PROPERTY
@@ -395,9 +434,9 @@ DYADIC_SPEEDS = (1, 2, 4)
            st.lists(st.integers(0, 12), min_size=g.node_count, max_size=g.node_count))),
        st.sampled_from((Fraction(1, 8), 1, 4)), seeds, rounds)
 def test_unit_weights_draw_the_unit_task_counts(inst, alpha_factor, seed, r):
-    # Weights 1.0 and power-of-two speeds make every float load exact, so the
-    # weighted trigger and probabilities equal the unit-task ones, and the
-    # shared count draw must give the same next counts.
+    # The trigger is exact in both modes, and weights 1.0 and power-of-two
+    # speeds make every float load exact, so the weighted probabilities equal
+    # the unit-task ones, and the shared count draw must give the same counts.
     g, speeds, counts = inst
     sp = SpeedProfile.from_rationals(speeds)
     unit = LoadState.uniform(counts)
@@ -444,22 +483,15 @@ def few_weighted_tasks(draw, max_tasks=5):
 
 @settings(max_examples=100, deadline=None)
 @given(few_weighted_tasks())
-@example((GRAPHS[0], SpeedProfile.from_rationals([1, 2]),
-          LoadState.weighted([[1.0, 1.0, 1.401298464324817e-45], [1.0, 1.0]])))
-@example((GRAPHS[0], SpeedProfile.from_rationals([1, 2]),
-          LoadState.weighted([[1.0, 1.0, 1e-7], [1.0, 1.0]])))
+@example((GRAPHS[0], SpeedProfile.from_rationals([1, Fraction(3, 2)]),
+          LoadState.weighted([[1.0], [0.5]])))
 def test_weighted_oracle_matches_enumeration(inst):
+    # The enumeration reads the stored weights (the payload) as Fractions, and
+    # the oracle's trigger is exact, so the two agree on every state, exact
+    # ties included (pinned: l_0 - l_1 = 1/s_1, no edge triggers, both 0);
+    # only the oracle's float moments differ, by rounding.
     g, sp, state = inst
     tasks = state.to_payload()["tasks"]
-    # Float triggers decide exact ties by rounding; the oracle claims agreement
-    # with exact arithmetic only away from them.
-    w = [sum(map(Fraction, node), Fraction(0)) for node in tasks]
-    loads = [wi / s for wi, s in zip(w, sp.speeds)]
-    assume(all(abs(loads[i] - loads[j] - 1 / sp.speeds[j]) > Fraction(1, 10**9)
-               for i, j in g.directed_edges()))
-    # Pinned: a tiny task on the sending node of K2's one triggered edge.
-    # 2 + 1.4e-45 sums to 2.0, so the float W_0 loses the task; 2 + 1e-7 is
-    # rounded. Both float drops agree with the exact ones to about 1e-15.
     moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0))
     drop, var_sum = helpers.enum_weighted_round(g, list(sp.speeds), tasks, 4 * sp.s_max)
     assert abs(exact_expected_psi0_drop(moments) - drop) <= 1e-12 * abs(drop)

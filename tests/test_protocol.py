@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netbalance.analysis import StopRule, run_trial
 from netbalance.errors import ConfigError
 from netbalance.graphs import make_graph
 from netbalance.protocol import (
+    WEIGHT_UNITS,
     LoadState,
     ProtocolParams,
     RoundKernel,
@@ -217,25 +219,31 @@ def test_step_round_conserves_weight():
     total = wst.total_weight()
     for r in range(50):
         wst, _ = step_round_totals(C4, sp, wst, params(seed=4), r)
-        assert abs(wst.total_weight() - total) <= 1e-12 * total
+        assert wst.total_weight() == total
     # Tasks move as indivisible units: the weight multiset is preserved.
     final = sorted(wst.weights)
     assert final == pytest.approx(sorted(ws), abs=0.0)
 
 
+def assert_exact_node_weights(st):
+    """W_i of every node (of every row) is exactly the sum of its own tasks:
+    Q times it in units, and that sum as a float."""
+    for row, units, w in zip(st.rows() if st.stacked else [st],
+                             np.atleast_2d(st.node_units()), np.atleast_2d(st.node_weights())):
+        tasks = row.to_payload()["tasks"]
+        assert units.tolist() == [WEIGHT_UNITS * sum(map(Fraction, node)) for node in tasks]
+        assert w.tolist() == [math.fsum(node) for node in tasks]   # 0 on an empty node
+
+
 def test_weighted_node_weights_match_task_lists_after_many_rounds():
     # Alpha below the 4*s_max floor makes the [0, 1] cap bind, so tasks keep
-    # moving every round. W_i must stay the sum of node i's own tasks: within
-    # the recursive-summation bound k_i * 2^-53 * W_i of the exact sum, with
-    # no error carried over from earlier rounds.
+    # moving every round. W_i must stay exactly the sum of node i's own tasks.
     sp = SpeedProfile.uniform(4)
     st = weighted_all_on_one(random_task_weights(40, 7), 4)
     pp = params(seed=3, alpha=Fraction(1, 2))
     for r in range(3000):
         st, _ = step_round_totals(C4, sp, st, pp, r)
-    for i, node in enumerate(st.to_payload()["tasks"]):
-        exact = math.fsum(node)
-        assert abs(st.node_weights()[i] - exact) <= len(node) * 2.0**-53 * exact
+    assert_exact_node_weights(st)
 
 
 def test_in_place_round_allocates_no_buffer_copy():
@@ -283,10 +291,10 @@ def test_small_blocks_rarely_pack():
 
 
 def test_block_sums_of_empty_nodes_rows_and_states():
-    # W_i is the reduceat sum of node i's block: 0 on an empty node, and
-    # within k_i * 2^-53 * W_i of the exact sum elsewhere, whether the empty
-    # nodes come first, in the middle or last, fill whole rows of a stack,
-    # or are every node of a state with no tasks.
+    # W_i is the reduceat sum of node i's block: 0 on an empty node, and the
+    # exact sum elsewhere, whether the empty nodes come first, in the middle
+    # or last, fill whole rows of a stack, or are every node of a state with
+    # no tasks.
     ws = random_task_weights(60, 4)
     lists = [[], list(ws[:20]), [], [], list(ws[20:45]), list(ws[45:]), []]
     empty_row = [[] for _ in lists]
@@ -294,10 +302,7 @@ def test_block_sums_of_empty_nodes_rows_and_states():
               LoadState.weighted(empty_row)]
     stack = LoadState.stack([states[2], states[0], states[2], states[1], states[2]])
     for st in (*states, stack):
-        for row, got in zip(st.rows() if st.stacked else [st], np.atleast_2d(st.node_weights())):
-            for w, node in zip(got.tolist(), row.to_payload()["tasks"]):
-                exact = math.fsum(node)     # 0 on an empty node, and so must w be
-                assert abs(w - exact) <= len(node) * 2.0**-53 * exact
+        assert_exact_node_weights(st)
     assert states[2].task_count == 0 and states[2].total_weight() == 0.0
     assert stack.total_weight().tolist() == [0.0, states[0].total_weight(), 0.0,
                                              states[1].total_weight(), 0.0]
@@ -367,6 +372,25 @@ def test_weighted_is_nash_is_threshold_condition():
     assert is_nash(K2, sp, st3)
 
 
+def test_weighted_exact_tie_is_no_trigger():
+    # K2, speeds 1 and 3/2, one task of weight 1 against one of weight 1/2:
+    # l_0 - l_1 = 1 - 1/3 is exactly 1/s_1, so no edge triggers and the state
+    # is an equilibrium. As floats, 1 - 0.5 * (1/1.5) is one ulp above 1/1.5.
+    sp = SpeedProfile.from_rationals([1, Fraction(3, 2)])
+    tie = LoadState.weighted([[1.0], [0.5]])
+    busy = LoadState.weighted([[1.0, 1.0, 1.0], []])
+    stack = LoadState.stack([busy, tie, busy])
+    assert not triggers(K2, sp, tie).any() and not triggers(K2, sp, stack)[1].any()
+    assert is_nash(K2, sp, tie) and is_nash(K2, sp, stack).tolist() == [False, True, False]
+    assert non_nash_edges(K2, sp, tie) == set()
+    new, moves = step_round_totals(K2, sp, tie, params(), 0)
+    assert moves == 0 and new == tie
+    new, moves = step_round_totals(K2, sp, stack, params(alpha=Fraction(1, 4)), 0)
+    assert moves.tolist()[1] == 0 and moves.sum() > 0 and new.rows()[1] == tie
+    trial = run_trial(K2, sp, tie, params(), StopRule("exact-ne"), 100)
+    assert trial.rounds_to_exact_ne == 0 and trial.rounds_executed == 0
+
+
 def test_weight_range_validation():
     with pytest.raises(ConfigError):
         LoadState.weighted(((1.5,), ()))
@@ -413,6 +437,10 @@ def test_weighted_initial_state_builders():
     assert st.counts.tolist() == [0, 25, 0, 0]
     r1 = weighted_random_placement(ws, 4, seed=2)
     assert r1 == weighted_random_placement(ws, 4, seed=2)
+    # Every task lands somewhere, each node keeping the input order of its tasks.
+    for node in r1.to_payload()["tasks"]:
+        assert node == [w for w in ws if w in node]
+    assert sorted(r1.weights) == sorted(ws)
     sp = SpeedProfile.from_rationals([1, 2, 1, 1])
     nb = weighted_near_balanced(ws, sp)
     loads = nb.loads(sp)
