@@ -31,6 +31,7 @@ from .potentials import (
     drop_quadratic_bound,
     exact_expected_psi0_drop,
     exact_expected_psi1_drop,
+    exact_psi0_and_ldelta2,
     exact_variance_sum,
     gamma_factor,
     phi1_drop_routes,
@@ -362,9 +363,17 @@ def _ge(lemma, case, lhs, rhs, tol, state) -> LemmaCheck:
 
 
 def _le(lemma, case, lhs, rhs, tol, state) -> LemmaCheck:
-    """Check lhs <= rhs + tol*scale; exact for Fraction sides and tol 0."""
+    """Check lhs <= rhs + tol*scale on floats."""
     ok = bool(lhs - rhs <= tol * max(1.0, abs(rhs)))
     return LemmaCheck(lemma, case, float(lhs), float(rhs), float(rhs - lhs), ok,
+                      None if ok else state.to_payload())
+
+
+def _le_exact(lemma, case, lhs: Fraction, rhs: Fraction, state) -> LemmaCheck:
+    """Check lhs <= rhs exactly, with no slack."""
+    margin = rhs - lhs
+    ok = margin >= 0
+    return LemmaCheck(lemma, case, float(lhs), float(rhs), float(margin), ok,
                       None if ok else state.to_payload())
 
 
@@ -389,15 +398,10 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
                       variance_bound(g, sp, state, params), tol, state))
 
     snap = snapshot(g, sp, state)
-    # Max-deviation sandwich in the moments' number type: exact, with no
-    # slack, for unit tasks.
-    e, inv = moments.deviations, moments.inv
-    psi0 = sum(d * d * i for d, i in zip(e, inv))
-    ld2 = max(abs(d) * i for d, i in zip(e, inv)) ** 2
-    sandwich_tol = 0 if state.mode == MODE_UNIFORM else tol
-    checks.append(_le("l-delta-sandwich-lower", case.name, ld2, psi0, sandwich_tol, state))
-    checks.append(_le("l-delta-sandwich-upper", case.name, psi0,
-                      sp.total_capacity * ld2, sandwich_tol, state))
+    psi0, ld2 = exact_psi0_and_ldelta2(inputs)
+    checks.append(_le_exact("l-delta-sandwich-lower", case.name, ld2, psi0, state))
+    checks.append(_le_exact("l-delta-sandwich-upper", case.name, psi0,
+                            sp.total_capacity * ld2, state))
 
     checks.extend(_psi1_observations(case, snap, moments, tol))
 
@@ -442,29 +446,31 @@ def _psi1_observations(case: CorpusCase, snap, moments, tol) -> list[LemmaCheck]
 
 
 def _granularity_checks(case: CorpusCase, tol) -> list[LemmaCheck]:
-    """Strict threshold implies the strengthened gap 1/s_j + eps/(s_i*s_j), exactly."""
+    """Strict threshold implies the strengthened gap 1/s_j + eps/(s_i*s_j), exactly.
+
+    With s_i = n_i*eps and counts c_i, the gap l_i - l_j is x/(n_i*n_j*eps)
+    with x = c_i*n_j - c_j*n_i, the needed gap (n_i + 1)/(n_i*n_j*eps), so
+    the margin times n_i*n_j*eps is the integer x - n_i - 1; the worst
+    margin is found by integer cross products.
+    """
     g, sp, state = case.graph, case.speeds, case.state
-    eps = sp.granularity
-    loads = [Fraction(c) / s for c, s in zip(state.counts.tolist(), sp.speeds)]
+    eps, mult, counts = sp.granularity, sp.multipliers, state.counts.tolist()
     moving = non_nash_edges(g, sp, state)
-    checks = []
     worst = None
     for i, j in g.directed_edges():
         if (i, j) not in moving:
             continue
-        gap = loads[i] - loads[j]
-        needed = Fraction(1) / sp.speeds[j] + eps / (sp.speeds[i] * sp.speeds[j])
-        margin = gap - needed
-        if worst is None or margin < worst[0]:
-            worst = (margin, gap, needed)
+        x = counts[i] * mult[j] - counts[j] * mult[i]
+        margin, den = x - mult[i] - 1, mult[i] * mult[j]
+        if worst is None or margin * worst[2] < worst[0] * den:
+            worst = (margin, x, den, mult[i] + 1)
     if worst is None:
-        checks.append(LemmaCheck("granularity-gap", case.name, 0.0, 0.0, 0.0, True))
-    else:
-        margin, gap, needed = worst
-        checks.append(LemmaCheck("granularity-gap", case.name, float(gap), float(needed),
-                                 float(margin), margin >= 0,
-                                 None if margin >= 0 else state.to_payload()))
-    return checks
+        return [LemmaCheck("granularity-gap", case.name, 0.0, 0.0, 0.0, True)]
+    margin, x, den, needed = worst
+    gap, needed, margin = (Fraction(v * eps.denominator, den * eps.numerator)
+                           for v in (x, needed, margin))
+    return [LemmaCheck("granularity-gap", case.name, float(gap), float(needed),
+                       float(margin), margin >= 0, None if margin >= 0 else state.to_payload())]
 
 
 def verify_lemma_suite(cases: list[CorpusCase] | None = None,

@@ -20,14 +20,16 @@ One moments pass (`node_change_moments`) serves both task modes; the drop
 assemblers are functions of its result. It visits only the edges that
 `protocol.triggers` marks, in the graph's edge-array order, and reads d_ij
 from those arrays, so the oracles and the round agree on every edge by
-construction. Exactness is set by the number type of the pass's inputs: unit
-tasks give Python ints against Fraction speeds and alpha, so the oracles
-return exact Fractions; weighted tasks give floats of their exact W_i, and
-the same closed form runs in floating point over the exact trigger mask.
+construction. Both modes are exact and share one number type: with weights
+in integer units (1/Q each, Q = 1 for unit tasks), s_i = n_i*eps and
+alpha = a/b, every mean and variance is a Python int over one common
+denominator per pass, and each assembler divides once, returning one
+Fraction. No Fraction arithmetic runs per edge or per node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -37,7 +39,6 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import GraphTopology
 from .protocol import (
-    WEIGHT_UNITS,
     LoadState,
     ProtocolParams,
     RoundKernel,
@@ -118,61 +119,122 @@ def _cross_check(name: str, direct, shifted, scale) -> None:
 # Exact per-node moments of the one-round weight change
 
 
-class NodeMoments(NamedTuple):
-    """Mean mu and variance var of each node's one-round weight change.
+class MomentInputs(NamedTuple):
+    """What a moments pass reads that does not depend on alpha, as Python ints.
 
-    deviations (e_i) and inv (1/s_i) are carried in the same number type, so
-    the drop assemblers below combine them without knowing the task mode.
+    With s_i = n_i*eps (`SpeedProfile.multipliers`), N = lcm(n), W_i = w_i/Q
+    (w_i from `LoadState.node_units`, Q the `quantum`), M = sum(n) and
+    W = sum(w):
+
+    - w: w_i; deviations: M*w_i - W*n_i, so e_i = deviations[i] / dev_den
+      with dev_den = M*Q; inv: N/n_i, so 1/s_i = inv[i] * inv_unit with
+      inv_unit = 1/(N*eps), the one Fraction here;
+    - edges: (i, j, flow, cap) per triggered directed edge, in edge-array
+      order, where flow = x*L/(d_ij*(n_i+n_j)) with x = w_i*n_j - w_j*n_i and
+      cap = w_i*L/deg(i), L = lcm over these edges of d_ij*(n_i+n_j) and
+      deg(i) (`lcm`): at alpha = a/b the expected units that cross the edge,
+      times D = a*L, are min(b*flow, a*cap);
+    - sq: P * sum(u^2 on i) / w_i^2 on every triggered source (0 elsewhere),
+      P (`var_lcm`) the lcm of the reduced denominators of those ratios.
     """
 
-    mu: list
-    var: list
-    deviations: list
-    inv: list
-
-
-class MomentInputs(NamedTuple):
-    """What a moments pass reads that does not depend on alpha, per node
-    (W_i, sum of w^2 on i, 1/s_i, e_i, l_i) and per triggered directed edge
-    (i, j, d_ij, deg(i)), in the number type that sets the pass's exactness."""
-
     w: list
-    sq: list
-    inv: list
     deviations: list
-    loads: list
+    dev_den: int
+    inv: list
+    inv_unit: Fraction
     edges: list
-    zero: Fraction | float
+    lcm: int
+    sq: list
+    var_lcm: int
+    quantum: int
+
+
+class NodeMoments(NamedTuple):
+    """Mean and variance of each node's one-round weight change, as integers
+    over one denominator each: mu_k = mean[k] / mu_den and
+    var_k = variance[k] / var_den, with D = `scale` and P, Q from `inputs`.
+    The `mu`, `var`, `deviations` and `inv` properties give the same values
+    one Fraction each.
+    """
+
+    mean: list
+    variance: list
+    scale: int
+    inputs: MomentInputs
+
+    @property
+    def mu_den(self) -> int:
+        """D*Q: the common denominator of the means."""
+        return self.scale * self.inputs.quantum
+
+    @property
+    def var_den(self) -> int:
+        """D^2*P*Q^2: the common denominator of the variances and the drops."""
+        return self.mu_den ** 2 * self.inputs.var_lcm
+
+    @property
+    def mu(self) -> list:
+        return [Fraction(x, self.mu_den) for x in self.mean]
+
+    @property
+    def var(self) -> list:
+        return [Fraction(v, self.var_den) for v in self.variance]
+
+    @property
+    def deviations(self) -> list:
+        return [Fraction(e, self.inputs.dev_den) for e in self.inputs.deviations]
+
+    @property
+    def inv(self) -> list:
+        return [r * self.inputs.inv_unit for r in self.inputs.inv]
 
 
 def moment_inputs(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> MomentInputs:
     """The alpha-free inputs of `node_change_moments`, built once per state.
 
-    Unit tasks give Python ints against Fraction speeds, so every later value
-    is an exact Fraction. Weighted tasks give floats of the exact W_i (and a
-    float sum of w^2, as int64 squares of units overflow from 512 tasks of
-    weight 1 on a node); their triggered edges are exact too, and only their
-    moments round. A state past the trigger's int64 guard is a ConfigError.
+    Both task modes give integers: unit tasks have Q = 1 and sum(u^2) = w_i;
+    weighted tasks sum u^2 exactly as three int64 block sums of a 14-bit
+    split of each unit (u = h*2^14 + l, u^2 = h^2*2^28 + h*l*2^15 + l^2). A
+    stack, or a state past the trigger's int64 guard, is a ConfigError.
     """
-    if state.tasks is None:
-        w = state.counts.tolist()   # Python ints: no numpy scalar meets a Fraction
-        sq = w
-        inv = [1 / s for s in sp.speeds]
-        share = Fraction(sum(w)) / sp.total_capacity
-        e = [wi - share * s for wi, s in zip(w, sp.speeds)]
-        zero = Fraction(0)
-    else:
-        w = state.node_weights().tolist()
-        sq = state.tasks.sums(state.counts, (state.tasks.values / WEIGHT_UNITS) ** 2).tolist()
-        inv = sp.inv_floats.tolist()
-        e = state.deviations(sp).tolist()
-        zero = 0.0
+    if state.stacked:
+        raise ConfigError("the moments pass takes one state, not a stack")
     ev = g.edge_arrays
-    idx = np.flatnonzero(triggers(g, sp, state))
+    trig = triggers(g, sp, state)
+    w = state.node_units().tolist()
+    if state.tasks is None:
+        sq = w
+    else:
+        units = state.tasks.values
+        hi, lo = units >> 14, units & 0x3FFF
+        parts = (state.tasks.sums(state.counts, part).tolist()
+                 for part in (hi * hi, hi * lo, lo * lo))
+        sq = [(a << 28) + (b << 15) + c for a, b, c in zip(*parts)]
+    mult = sp.multipliers
+    top = math.lcm(*mult)
+    total_mult, total = sum(mult), sum(w)
+    idx = np.flatnonzero(trig)
     src = ev.src[idx]
     edges = list(zip(src.tolist(), ev.dst[idx].tolist(), ev.dij[idx].tolist(),
                      ev.deg[src].tolist()))
-    return MomentInputs(w, sq, inv, e, [wi * vi for wi, vi in zip(w, inv)], edges, zero)
+    span = math.lcm(*(dij * (mult[i] + mult[j]) for i, j, dij, _ in edges),
+                    *(deg_i for *_, deg_i in edges))
+    sources = {i for i, *_ in edges}
+    var_lcm = math.lcm(*(w[i] * w[i] // math.gcd(sq[i], w[i] * w[i]) for i in sources))
+    return MomentInputs(
+        w=w,
+        deviations=[total_mult * wi - total * ni for wi, ni in zip(w, mult)],
+        dev_den=total_mult * state.quantum,
+        inv=[top // ni for ni in mult],
+        inv_unit=Fraction(sp.granularity.denominator, top * sp.granularity.numerator),
+        edges=[(i, j, (w[i] * mult[j] - w[j] * mult[i]) * span // (dij * (mult[i] + mult[j])),
+                w[i] * span // deg_i) for i, j, dij, deg_i in edges],
+        lcm=span,
+        sq=[sq[i] * var_lcm // (w[i] * w[i]) if i in sources else 0 for i in range(len(w))],
+        var_lcm=var_lcm,
+        quantum=state.quantum,
+    )
 
 
 def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
@@ -180,49 +242,73 @@ def node_change_moments(g: GraphTopology, sp: SpeedProfile, state: LoadState,
                         inputs: MomentInputs | None = None) -> NodeMoments:
     """Exact mean and variance of the net weight change per node, one round.
 
-    One pass over the triggered directed edges (`protocol.triggers`) with the
-    per-node inputs (W_i, sum of w^2 on i, 1/s_i) and alpha; their number
-    type sets the exactness (`moment_inputs`). Passes over one state at
-    several alphas can share its inputs.
+    One pass over the triggered directed edges (`protocol.triggers`) on the
+    integers of `moment_inputs`; passes over one state at several alphas
+    can share its inputs. With alpha = a/b and D = a*L, a task on i picks
+    edge (i, j) and moves with chance q = A/(D*w_i), where A = min(b*flow,
+    a*cap) mirrors the kernel's clamp of the migration probability at 1, so
+    mu moves A units (over D) from i to j, and each source's tasks add
+    sum(u^2) * q*(1 - q) to the variance at j and, summed over its edges, at i.
     """
     if inputs is None:
         inputs = moment_inputs(g, sp, state)
-    w, sq, inv, _, loads, _, zero = inputs
-    alpha = resolve_alpha(params, sp) + zero   # typed like the inputs: a float for weighted tasks
-    one = zero + 1   # typed: clamping to a bare int 1 would make q = 1 / deg_i a float
-    n = g.node_count
-    mu = [zero] * n
-    var = [zero] * n
-    out_q = [zero] * n
-    for i, j, dij, deg_i in inputs.edges:
-        p = (loads[i] - loads[j]) * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
-        # Mirror the kernel's clamp of the migration probability at 1; p > 0 on
-        # a triggered edge.
-        p = min(p, one)
-        q = p / deg_i   # per-task chance of ending on j; w[i] > 0 on triggered edges
-        mu[i] -= w[i] * q
-        mu[j] += w[i] * q
-        var[j] += sq[i] * q * (1 - q)
-        out_q[i] += q
-    for i in range(n):
-        var[i] += sq[i] * out_q[i] * (1 - out_q[i])
-    return NodeMoments(mu, var, inputs.deviations, inv)
+    alpha = resolve_alpha(params, sp)
+    a, b = alpha.numerator, alpha.denominator
+    scale = a * inputs.lcm
+    w, sq = inputs.w, inputs.sq
+    n = len(w)
+    mean = [0] * n
+    variance = [0] * n
+    out = [0] * n
+    for i, j, flow, cap in inputs.edges:
+        moved = min(b * flow, a * cap)
+        mean[i] -= moved
+        mean[j] += moved
+        out[i] += moved
+        variance[j] += sq[i] * moved * (scale * w[i] - moved)
+    for i, moved in enumerate(out):
+        variance[i] += sq[i] * moved * (scale * w[i] - moved)
+    return NodeMoments(mean, variance, scale, inputs)
+
+
+def _over_speeds(inputs: MomentInputs, terms, den: int) -> Fraction:
+    """sum_k terms[k] / (den * s_k) as one Fraction, with 1/s_k = inv[k] / (N*eps)."""
+    unit = inputs.inv_unit
+    return Fraction(sum(r * t for r, t in zip(inputs.inv, terms)) * unit.numerator,
+                    den * unit.denominator)
 
 
 def exact_expected_psi0_drop(m: NodeMoments):
-    """E[psi0(x) - psi0(X')] = -sum_k (2 e_k mu_k + mu_k^2 + var_k) / s_k."""
-    return -sum((2 * e * mu + mu * mu + v) * i
-                for mu, v, e, i in zip(m.mu, m.var, m.deviations, m.inv))
+    """E[psi0(x) - psi0(X')] = -sum_k (2 e_k mu_k + mu_k^2 + var_k) / s_k.
+
+    Flow is conserved (sum_k mu_k = 0) and e_k/s_k = l_k - W/S, so the
+    e-term is 2 sum_k mu_k l_k = 2 sum_k mu_k W_k / s_k.
+    """
+    d, p = m.scale, m.inputs.var_lcm
+    return _over_speeds(m.inputs, (-(p * mk * (2 * d * wk + mk) + vk)
+                                   for mk, vk, wk in zip(m.mean, m.variance, m.inputs.w)),
+                        m.var_den)
 
 
 def exact_expected_psi1_drop(m: NodeMoments):
     """E[psi1 drop] = E[psi0 drop] - sum_k mu_k / s_k (psi1 and phi1 drops coincide)."""
-    return exact_expected_psi0_drop(m) - sum(mu * i for mu, i in zip(m.mu, m.inv))
+    d, p, q = m.scale, m.inputs.var_lcm, m.inputs.quantum
+    return _over_speeds(m.inputs, (-(p * mk * (2 * d * wk + mk + d * q) + vk)
+                                   for mk, vk, wk in zip(m.mean, m.variance, m.inputs.w)),
+                        m.var_den)
 
 
 def exact_variance_sum(m: NodeMoments):
     """sum_i Var[W_i'] / s_i."""
-    return sum(v * i for v, i in zip(m.var, m.inv))
+    return _over_speeds(m.inputs, m.variance, m.var_den)
+
+
+def exact_psi0_and_ldelta2(inputs: MomentInputs) -> tuple[Fraction, Fraction]:
+    """psi0 = sum_i e_i^2 / s_i and l_delta^2 = max_i (|e_i| / s_i)^2, exactly."""
+    e, den, unit = inputs.deviations, inputs.dev_den, inputs.inv_unit
+    psi0 = _over_speeds(inputs, (x * x for x in e), den * den)
+    top = max(abs(x) * r for x, r in zip(e, inputs.inv)) * unit.numerator
+    return psi0, Fraction(top * top, (den * unit.denominator) ** 2)
 
 
 def phi1_drop_routes(m: NodeMoments, sp: SpeedProfile, state: LoadState):
@@ -230,9 +316,12 @@ def phi1_drop_routes(m: NodeMoments, sp: SpeedProfile, state: LoadState):
 
     Both routes run in floats on the state's float weights, deviations and
     inverse speeds, so their difference measures float cancellation only.
+    mu and var enter correctly rounded (int / int), as float() of their
+    Fractions would give them.
     """
-    mu = np.array(m.mu, dtype=float)
-    var = np.array(m.var, dtype=float)
+    mu_den, var_den = m.mu_den, m.var_den
+    mu = np.array([x / mu_den for x in m.mean])
+    var = np.array([v / var_den for v in m.variance])
     weights = state.node_weights()
     e = state.deviations(sp)
     inv = sp.inv_floats

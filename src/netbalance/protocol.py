@@ -223,18 +223,23 @@ class LoadState:
         """Ingest per-node task weights, enforcing w in (0, 1].
 
         Each weight is stored as max(1, rint(w * WEIGHT_UNITS)) units, within
-        2^-27 of w, so no weight in (0, 1] is lost. Rounds only move existing
-        tasks, so the range check lives here, not on the per-round path.
+        2^-27 of w, so no weight in (0, 1] is lost. Each node converts with one
+        `np.asarray`; a node that is not a flat sequence of numbers is a
+        ConfigError (None reads as NaN, which the range check refuses). Rounds
+        only move existing tasks, so the range check lives here, not on the
+        per-round path.
         """
         try:
-            lists = [[float(w) for w in node] for node in task_lists]
-        except (TypeError, ValueError) as exc:
+            nodes = [np.asarray(node, dtype=float) for node in task_lists]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"task weights must be numbers: {exc}") from exc
-        weights = np.array([w for node in lists for w in node], dtype=float)
+        if any(node.ndim != 1 for node in nodes):
+            raise ConfigError("task weights must be one flat list of numbers per node")
+        weights = np.concatenate([np.empty(0), *nodes])
         bad = np.flatnonzero(~((weights > 0.0) & (weights <= 1.0)))
         if bad.size:
             raise ConfigError(f"task weight {weights[bad[0]]} outside (0, 1]")
-        counts = np.array([len(node) for node in lists], dtype=np.int64)
+        counts = np.array([len(node) for node in nodes], dtype=np.int64)
         units = np.maximum(np.rint(weights * WEIGHT_UNITS), 1).astype(np.int64)
         return cls(counts, TaskBuffer.packed(units, counts))
 

@@ -67,17 +67,12 @@ def granularity_of(speeds: Iterable) -> tuple[Fraction, tuple[int, ...]]:
     eps is maximal with every s_i an integer multiple of it:
     gcd(p1/q1, ..., pk/qk) = gcd(p1..pk) / lcm(q1..qk).
     """
-    fracs = [_as_fraction(s) for s in speeds]
-    if not fracs or any(f <= 0 for f in fracs):
+    pairs = [(f.numerator, f.denominator) for f in map(_as_fraction, speeds)]
+    if not pairs or any(p <= 0 for p, _ in pairs):
         raise ConfigError("granularity needs a nonempty list of positive rationals")
-    num = 0
-    den = 1
-    for f in fracs:
-        num = math.gcd(num, f.numerator)
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    eps = Fraction(num, den)
-    multipliers = tuple(int(f / eps) for f in fracs)
-    return eps, multipliers
+    num = math.gcd(*(p for p, _ in pairs))
+    den = math.lcm(*(q for _, q in pairs))
+    return Fraction(num, den), tuple(p // num * (den // q) for p, q in pairs)
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,8 @@ class SpeedProfile:
         if any(f <= 0 for f in fracs):
             raise ConfigError("speeds must be positive")
         lo = min(fracs)
-        return cls(tuple(f / lo for f in fracs))
+        p, q = lo.numerator, lo.denominator
+        return cls(tuple(Fraction(f.numerator * q, f.denominator * p) for f in fracs))
 
     @classmethod
     def uniform(cls, n: int) -> "SpeedProfile":
@@ -126,7 +122,7 @@ class SpeedProfile:
 
     @cached_property
     def total_capacity(self) -> Fraction:
-        return sum(self.speeds, Fraction(0))
+        return self.granularity * sum(self.multipliers)
 
     @cached_property
     def s_min(self) -> Fraction:
@@ -134,7 +130,7 @@ class SpeedProfile:
 
     @cached_property
     def s_max(self) -> Fraction:
-        return max(self.speeds)
+        return self.granularity * max(self.multipliers)
 
     @cached_property
     def arithmetic_mean(self) -> Fraction:
@@ -142,7 +138,9 @@ class SpeedProfile:
 
     @cached_property
     def harmonic_mean(self) -> Fraction:
-        return Fraction(self.n) / sum((1 / s for s in self.speeds), Fraction(0))
+        """n / sum(1/s_i) = n*eps*N / sum(N/n_i), with N = lcm(n_i)."""
+        top = math.lcm(*self.multipliers)
+        return self.granularity * Fraction(self.n * top, sum(top // k for k in self.multipliers))
 
     @cached_property
     def _granularity_pair(self) -> tuple[Fraction, tuple[int, ...]]:
@@ -168,13 +166,15 @@ class SpeedProfile:
 
     @cached_property
     def floats(self) -> np.ndarray:
-        arr = np.array([float(s) for s in self.speeds])
+        """The speeds as floats, each n_i*eps correctly rounded (int / int), as float() gives."""
+        num, den = self.granularity.numerator, self.granularity.denominator
+        arr = np.array([k * num / den for k in self.multipliers])
         arr.setflags(write=False)
         return arr
 
     @cached_property
     def inv_floats(self) -> np.ndarray:
-        arr = np.array([1.0 / float(s) for s in self.speeds])
+        arr = 1.0 / self.floats
         arr.setflags(write=False)
         return arr
 

@@ -225,6 +225,47 @@ def enum_weighted_round(g, speeds, task_lists, alpha):
     return psi0_of(start) - e_psi0, var_sum
 
 
+def fraction_moments(g, speeds, task_lists, alpha):
+    """(mu, var, E[psi0 drop], E[psi1 drop], sum_i Var[W_i']/s_i) of one round,
+    by the per-edge Fraction pass: for every directed edge with
+    l_i - l_j > 1/s_j, p = deg_i * (l_i - l_j) / (alpha*d_ij*(1/s_i + 1/s_j)*W_i),
+    clamped at 1, and q = p/deg_i adds W_i*q to mu_j, takes it from mu_i and
+    adds (sum of w^2 on i)*q*(1 - q) to var_j; then every node adds
+    (sum of w^2)*Q_i*(1 - Q_i), Q_i its summed q. task_lists holds each
+    node's weights (1 per unit task), read exactly as Fractions.
+    """
+    n = g.node_count
+    alpha = Fraction(alpha)
+    w = [sum(map(Fraction, node), Fraction(0)) for node in task_lists]
+    sq = [sum((Fraction(x) ** 2 for x in node), Fraction(0)) for node in task_lists]
+    inv = [1 / s for s in speeds]
+    share = sum(w) / sum(speeds, Fraction(0))
+    e = [wi - share * s for wi, s in zip(w, speeds)]
+    loads = [wi * vi for wi, vi in zip(w, inv)]
+    mu = [Fraction(0)] * n
+    var = [Fraction(0)] * n
+    out_q = [Fraction(0)] * n
+    for i in range(n):
+        deg_i = g.degrees[i]
+        for j in g.neighbors[i]:
+            if loads[i] - loads[j] <= inv[j]:
+                continue
+            dij = max(deg_i, g.degrees[j])
+            p = (loads[i] - loads[j]) * deg_i / (alpha * dij * (inv[i] + inv[j]) * w[i])
+            q = min(p, Fraction(1)) / deg_i
+            mu[i] -= w[i] * q
+            mu[j] += w[i] * q
+            var[j] += sq[i] * q * (1 - q)
+            out_q[i] += q
+    for i in range(n):
+        var[i] += sq[i] * out_q[i] * (1 - out_q[i])
+    drop0 = -sum(((2 * ek * mk + mk * mk + vk) * ik
+                  for mk, vk, ek, ik in zip(mu, var, e, inv)), Fraction(0))
+    drop1 = drop0 - sum((mk * ik for mk, ik in zip(mu, inv)), Fraction(0))
+    var_sum = sum((vk * ik for vk, ik in zip(var, inv)), Fraction(0))
+    return mu, var, drop0, drop1, var_sum
+
+
 def g_test_pvalue(observed, law: dict, draws: int) -> tuple[float, int]:
     """(p-value, degrees of freedom) of the G-test of observed counts against law.
 

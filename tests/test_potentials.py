@@ -15,6 +15,7 @@ from netbalance.potentials import (
     exact_expected_psi1_drop,
     exact_variance_sum,
     gamma_factor,
+    moment_inputs,
     node_change_moments,
     phi1_drop_routes,
     psi0_value,
@@ -248,3 +249,14 @@ def test_moments_reject_unit_states_past_the_int_guard():
     # cross products could overflow int64 is refused, as the round refuses it.
     with pytest.raises(ConfigError, match="64-bit"):
         node_change_moments(K2, UNI2, LoadState.uniform((2**61, 0)), PARAMS)
+
+
+def test_moments_reject_stacks():
+    # One state per pass, as to_payload: a stack of either mode is a
+    # ConfigError, not a TypeError or a numpy broadcast error.
+    for st in (LoadState.uniform([3, 1]), LoadState.weighted([[0.5], [0.25, 0.5]])):
+        stack = LoadState.stack([st, st])
+        with pytest.raises(ConfigError, match="not a stack"):
+            moment_inputs(K2, UNI2, stack)
+        with pytest.raises(ConfigError, match="not a stack"):
+            node_change_moments(K2, UNI2, stack, PARAMS)

@@ -1,7 +1,8 @@
 """Invariants of one round as properties over random tiny states.
 
 Instances: K2, P3 and C4 with speeds 1,2 or 1,3/2 repeated along the nodes
-(random rationals for the trigger property), unit or weighted tasks, bare or
+(random rationals for the trigger property; K4 too and per-node speeds from
+five rationals for the moments pass), unit or weighted tasks, bare or
 stacked as the rows of one state, any seed and round index. Every property is a theorem about the protocol or its
 implementation, so any counterexample is a bug.
 """
@@ -25,6 +26,7 @@ from netbalance.protocol import (
     LoadState,
     ProtocolParams,
     RoundKernel,
+    exact_ne_alpha,
     non_nash_edges,
     step_round_totals,
     triggers,
@@ -458,14 +460,19 @@ def test_exact_oracle_matches_enumeration(inst):
     moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=alpha))
     assert exact_expected_psi0_drop(moments) == helpers.enum_expected_psi0_drop(
         g, list(sp.speeds), state.counts.tolist(), alpha)
-    # Exact all the way: Fractions over Python ints, never numpy scalars or
-    # floats, also below 4*s_max, where probabilities are clamped to 1.
+    # Exact all the way, also below 4*s_max, where probabilities are clamped to 1.
     for a in (alpha, sp.s_max / 8):
-        moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=a))
-        for x in (exact_expected_psi0_drop(moments), exact_expected_psi1_drop(moments),
-                  exact_variance_sum(moments), *moments.mu, *moments.var,
-                  *moments.deviations, *moments.inv):
-            assert type(x) is Fraction and type(x.numerator) is int
+        assert_exact_fractions(
+            node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=a)))
+
+
+def assert_exact_fractions(moments):
+    """Both drops, the variance sum and every per-node value are Fractions
+    over Python ints, never numpy scalars or floats."""
+    for x in (exact_expected_psi0_drop(moments), exact_expected_psi1_drop(moments),
+              exact_variance_sum(moments), *moments.mu, *moments.var,
+              *moments.deviations, *moments.inv):
+        assert type(x) is Fraction and type(x.numerator) is int
 
 
 @st.composite
@@ -487,12 +494,61 @@ def few_weighted_tasks(draw, max_tasks=5):
           LoadState.weighted([[1.0], [0.5]])))
 def test_weighted_oracle_matches_enumeration(inst):
     # The enumeration reads the stored weights (the payload) as Fractions, and
-    # the oracle's trigger is exact, so the two agree on every state, exact
-    # ties included (pinned: l_0 - l_1 = 1/s_1, no edge triggers, both 0);
-    # only the oracle's float moments differ, by rounding.
+    # the oracle is exact in both modes, so the two are equal on every state,
+    # exact ties included (pinned: l_0 - l_1 = 1/s_1, no edge triggers, both 0).
     g, sp, state = inst
     tasks = state.to_payload()["tasks"]
     moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0))
     drop, var_sum = helpers.enum_weighted_round(g, list(sp.speeds), tasks, 4 * sp.s_max)
-    assert abs(exact_expected_psi0_drop(moments) - drop) <= 1e-12 * abs(drop)
-    assert abs(exact_variance_sum(moments) - var_sum) <= 1e-12 * var_sum
+    assert exact_expected_psi0_drop(moments) == drop
+    assert exact_variance_sum(moments) == var_sum
+    for a in (4 * sp.s_max, sp.s_max / 8):
+        assert_exact_fractions(
+            node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=a)))
+
+
+ORACLE_GRAPHS = (*GRAPHS, make_graph("complete", n=4))
+ORACLE_SPEEDS = (1, Fraction(3, 2), 2, Fraction(5, 3), Fraction(7, 4))
+
+
+@st.composite
+def oracle_instances(draw, max_tasks=50):
+    g = draw(st.sampled_from(ORACLE_GRAPHS))
+    n = g.node_count
+    sp = SpeedProfile.from_rationals(
+        draw(st.lists(st.sampled_from(ORACLE_SPEEDS), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, max_tasks), min_size=n, max_size=n))
+        return g, sp, LoadState.uniform(counts), [[1] * c for c in counts]
+    state = LoadState.weighted(
+        draw(st.lists(st.lists(weights, max_size=max_tasks), min_size=n, max_size=n)))
+    return g, sp, state, state.to_payload()["tasks"]
+
+
+def _full_nodes():
+    # About 50 tasks on a node, which random draws rarely reach.
+    g, sp = ORACLE_GRAPHS[3], SpeedProfile.from_rationals([1, Fraction(5, 3), 2, Fraction(7, 4)])
+    lists = [[(k % 7 + 1) / 8 for k in range(50)], [0.375] * 3, [], [1.0, 0.0625]]
+    state = LoadState.weighted(lists)
+    return [(g, sp, LoadState.uniform([50, 3, 0, 2]), [[1] * c for c in (50, 3, 0, 2)]),
+            (g, sp, state, state.to_payload()["tasks"])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_instances())
+@example(_full_nodes()[0])
+@example(_full_nodes()[1])
+def test_integer_moments_match_the_fraction_pass(inst):
+    # helpers.fraction_moments runs the per-edge Fraction pass with its own
+    # trigger test and d_ij, so the integer pass must equal it exactly, in
+    # both modes: at the paper's alpha, at the exact-NE alpha, and far below
+    # the alpha floor, where the clamp at p = 1 fires.
+    g, sp, state, tasks = inst
+    for alpha in (4 * sp.s_max, exact_ne_alpha(sp), sp.s_max / 8):
+        moments = node_change_moments(g, sp, state, ProtocolParams(rng_seed=0, alpha=alpha))
+        mu, var, drop0, drop1, var_sum = helpers.fraction_moments(
+            g, list(sp.speeds), tasks, alpha)
+        assert moments.mu == mu and moments.var == var
+        assert exact_expected_psi0_drop(moments) == drop0
+        assert exact_expected_psi1_drop(moments) == drop1
+        assert exact_variance_sum(moments) == var_sum

@@ -340,6 +340,25 @@ def test_from_payload_rejects_malformed(payload):
         LoadState.from_payload(payload)
 
 
+@pytest.mark.parametrize("node", [
+    [None], ["abc"], [object()], [0.5, None], [1j], [10**400], [[0.5]], [0.5, [0.25]],
+    0.5, "0.5",
+])
+def test_weighted_rejects_non_numeric_weights(node):
+    # Each node converts with one np.asarray, which reads None as NaN and
+    # would take a nested list or a lone number as an array; each of these
+    # is still a ConfigError.
+    with pytest.raises(ConfigError):
+        LoadState.weighted([[0.25], node])
+
+
+def test_weighted_reads_arrays_and_numeric_strings_as_numbers():
+    expected = LoadState.weighted([[0.5, 0.25], [], [1.0]])
+    assert LoadState.weighted([np.array([0.5, 0.25]), np.empty(0), (1,)]) == expected
+    assert LoadState.weighted([["0.5", Fraction(1, 4)], [], [True]]) == expected
+    assert LoadState.weighted([]).counts.shape == (0,)
+
+
 def test_step_round_all_probabilities_clamped_at_degree_20():
     # Far below the alpha floor every migration probability clamps to 1, so
     # every task leaves node 0. The 20 move probabilities of 1/20 sum to

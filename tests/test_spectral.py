@@ -232,6 +232,25 @@ def test_speed_profile_takes_only_exact_speeds():
     assert SpeedProfile((Fraction(1), Fraction(5, 2))).granularity == Fraction(1, 2)
 
 
+def test_speed_profile_aggregates_match_the_per_speed_definitions():
+    # The aggregates are computed on the integer multipliers; each must equal
+    # its definition evaluated speed by speed on the Fractions, and the floats
+    # must equal float() of each speed exactly.
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 64):
+        for _ in range(10):
+            raw = helpers.random_rational_speeds(rng, n, max_num=40, max_den=12)
+            sp = SpeedProfile.from_rationals(raw)
+            lo = min(raw)
+            assert sp.speeds == tuple(f / lo for f in raw)
+            assert sp.total_capacity == sum(sp.speeds, Fraction(0))
+            assert sp.s_max == max(sp.speeds)
+            assert sp.harmonic_mean == n / sum((1 / s for s in sp.speeds), Fraction(0))
+            assert tuple(sp.granularity * k for k in sp.multipliers) == sp.speeds
+            assert sp.floats.tolist() == [float(s) for s in sp.speeds]
+            assert sp.inv_floats.tolist() == [1.0 / float(s) for s in sp.speeds]
+
+
 def test_speed_profile_normalization_and_means():
     sp = SpeedProfile.from_rationals([2, 3, 4])
     assert sp.s_min == 1 and sp.speeds[0] == 1
