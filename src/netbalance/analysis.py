@@ -50,26 +50,29 @@ from .protocol import (
     default_alpha,
     exact_ne_alpha,
     is_approx_nash,
-    is_nash,
-    non_nash_edges,
+    is_nash,  # noqa: F401 - a perfbench tracer target; verify reads the moments' mask
     step_round_totals,  # noqa: F401 - a perfbench tracer target; trials step via RoundKernel
     triggers,
 )
 from .rng import STREAM_TRIAL, derive_seed
-from .spectral import SpeedProfile, lambda2_of
+from .spectral import SpeedProfile, as_fraction, lambda2_of
 
 STOP_KINDS = ("psi-threshold", "approx-ne", "exact-ne", "fixed-rounds")
 
 
 @dataclass(frozen=True)
 class StopRule:
+    """When a trial stops; eps, the approx-ne margin, is held exactly (`as_fraction`)."""
+
     kind: str
-    eps: float | None = None
+    eps: Fraction | None = None
     rounds: int | None = None
 
     def __post_init__(self):
         if self.kind not in STOP_KINDS:
             raise ConfigError(f"unknown stop rule {self.kind!r} (expected {STOP_KINDS})")
+        if self.eps is not None:
+            object.__setattr__(self, "eps", as_fraction(self.eps, "eps"))
         if self.kind == "approx-ne" and not (self.eps and 0 < self.eps < 1):
             raise ConfigError("approx-ne stop needs eps in (0, 1)")
         if self.kind == "fixed-rounds" and not (self.rounds is not None and self.rounds >= 0):
@@ -108,7 +111,7 @@ def run_trial(g: GraphTopology, sp: SpeedProfile, init_state: LoadState,
 
 def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
               params: ProtocolParams, stop: StopRule, round_cap: int,
-              *, psi_threshold: float | None = None, approx_eps: float | None = None,
+              *, psi_threshold: float | None = None, approx_eps: Fraction | None = None,
               collect_trace: bool = False) -> list[TrialResult]:
     """Run every row of the stack `state` as one trial, all rows advancing together.
 
@@ -118,8 +121,10 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     from then on its triggers are masked off, so it draws nothing and never
     changes again. Hits, rounds, trace and final snapshot are per row.
 
-    psi_threshold defaults to 4*psi_c. approx_eps lets callers track
-    epsilon-equilibrium hits under a different stop rule.
+    psi_threshold defaults to 4*psi_c. approx_eps (exact, as `StopRule.eps`)
+    lets callers track epsilon-equilibrium hits under a different stop rule.
+    Its `triggers` mask is a subset of the plain one, so an exact hit is an
+    approximate one.
     """
     if round_cap < 1:
         raise ConfigError(f"round_cap must be >= 1, got {round_cap}")
@@ -151,9 +156,7 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
         hit_exact[running & (hit_exact == none) & ~trig.any(axis=1)] = round_index
         open_approx = running & (hit_approx == none)
         if eps is not None and open_approx.any():
-            # An exact equilibrium is in particular an approximate one.
-            approx = (hit_exact == round_index) | is_approx_nash(g, sp, state, eps)
-            hit_approx[open_approx & approx] = round_index
+            hit_approx[open_approx & is_approx_nash(g, sp, state, eps)] = round_index
         if collect_trace:
             snap = snapshot(g, sp, state, round_index)
             loads = state.loads(sp)
@@ -395,7 +398,7 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
                       psi0_lambda2_bound(g, sp, state, lam2), tol, state))
     checks.append(_le("variance-sum", case.name,
                       float(exact_variance_sum(moments)),
-                      variance_bound(g, sp, state, params), tol, state))
+                      variance_bound(g, sp, state, params, inputs.trig), tol, state))
 
     snap = snapshot(g, sp, state)
     psi0, ld2 = exact_psi0_and_ldelta2(inputs)
@@ -406,8 +409,8 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
     checks.extend(_psi1_observations(case, snap, moments, tol))
 
     if state.mode == MODE_UNIFORM:
-        checks.extend(_granularity_checks(case, tol))
-        if not is_nash(g, sp, state):
+        checks.extend(_granularity_checks(case, inputs))
+        if inputs.edges:    # off equilibrium
             exact_params = dataclasses.replace(params, alpha=exact_ne_alpha(sp))
             drop1 = float(exact_expected_psi1_drop(
                 potentials.node_change_moments(g, sp, state, exact_params, inputs)))
@@ -445,21 +448,20 @@ def _psi1_observations(case: CorpusCase, snap, moments, tol) -> list[LemmaCheck]
     return checks
 
 
-def _granularity_checks(case: CorpusCase, tol) -> list[LemmaCheck]:
+def _granularity_checks(case: CorpusCase,
+                        inputs: potentials.MomentInputs) -> list[LemmaCheck]:
     """Strict threshold implies the strengthened gap 1/s_j + eps/(s_i*s_j), exactly.
 
     With s_i = n_i*eps and counts c_i, the gap l_i - l_j is x/(n_i*n_j*eps)
     with x = c_i*n_j - c_j*n_i, the needed gap (n_i + 1)/(n_i*n_j*eps), so
     the margin times n_i*n_j*eps is the integer x - n_i - 1; the worst
-    margin is found by integer cross products.
+    margin over the triggered edges of `inputs` is found by integer cross
+    products, ties to the first in `g.directed_edges` order.
     """
-    g, sp, state = case.graph, case.speeds, case.state
-    eps, mult, counts = sp.granularity, sp.multipliers, state.counts.tolist()
-    moving = non_nash_edges(g, sp, state)
+    sp, state = case.speeds, case.state
+    eps, mult, counts = sp.granularity, sp.multipliers, inputs.w
     worst = None
-    for i, j in g.directed_edges():
-        if (i, j) not in moving:
-            continue
+    for i, j, *_ in sorted(inputs.edges, key=lambda e: (min(e[:2]), max(e[:2]), e[0] > e[1])):
         x = counts[i] * mult[j] - counts[j] * mult[i]
         margin, den = x - mult[i] - 1, mult[i] * mult[j]
         if worst is None or margin * worst[2] < worst[0] * den:

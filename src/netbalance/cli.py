@@ -74,7 +74,7 @@ class ExperimentConfig:
     tasks_weights: str | None = None
     tasks_seed: int | None = None
     protocol_alpha: Fraction | None = None
-    protocol_eps: float | None = None
+    protocol_eps: Fraction | None = None
     protocol_psi_constant: int = 8
     run_trials: int = 1
     run_round_cap: int = 100000
@@ -100,7 +100,7 @@ def _ser_bool(value: bool) -> str:
 
 #: (parse, serialize) per field type, `| None` aside.
 _CODECS = {"str": (str, str), "int": (int, str), "Fraction": (Fraction, str),
-           "float": (float, fmt17), "bool": (_parse_bool, _ser_bool)}
+           "bool": (_parse_bool, _ser_bool)}
 
 #: key -> (attribute, parse, serialize). A key is its field's name with the
 #: first "_" as "."; field order fixes the key order of the config block that

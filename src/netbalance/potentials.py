@@ -135,9 +135,11 @@ class MomentInputs(NamedTuple):
       deg(i) (`lcm`): at alpha = a/b the expected units that cross the edge,
       times D = a*L, are min(b*flow, a*cap);
     - sq: P * sum(u^2 on i) / w_i^2 on every triggered source (0 elsewhere),
-      P (`var_lcm`) the lcm of the reduced denominators of those ratios.
+      P (`var_lcm`) the lcm of the reduced denominators of those ratios;
+    - trig: the state's `triggers` mask, whose edges `edges` lists.
     """
 
+    trig: np.ndarray
     w: list
     deviations: list
     dev_den: int
@@ -223,6 +225,7 @@ def moment_inputs(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> Momen
     sources = {i for i, *_ in edges}
     var_lcm = math.lcm(*(w[i] * w[i] // math.gcd(sq[i], w[i] * w[i]) for i in sources))
     return MomentInputs(
+        trig=trig,
         w=w,
         deviations=[total_mult * wi - total * ni for wi, ni in zip(w, mult)],
         dev_den=total_mult * state.quantum,
@@ -335,10 +338,10 @@ def phi1_drop_routes(m: NodeMoments, sp: SpeedProfile, state: LoadState):
 
 
 def variance_bound(g: GraphTopology, sp: SpeedProfile, state: LoadState,
-                   params: ProtocolParams) -> float:
-    """sum over non-Nash directed edges of f_ij * (1/s_i + 1/s_j)."""
+                   params: ProtocolParams, trig: np.ndarray) -> float:
+    """sum over the triggered directed edges of f_ij * (1/s_i + 1/s_j); trig
+    is the state's `triggers` mask, as `moment_inputs` holds it."""
     kernel = RoundKernel(g, sp, params)
-    trig = triggers(g, sp, state)
     flow = kernel.flows(state, trig)
     ev, inv = kernel.edges, kernel.inv
     idx = np.flatnonzero(trig)
@@ -352,12 +355,11 @@ def drop_quadratic_bound(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     inv = sp.inv_floats
     loads = state.loads(sp)
     ev = g.edge_arrays
-    up = ev.src < ev.dst    # each edge once, in `g.edges` order
-    total = 0.0
-    for u, v, dij in zip(ev.src[up].tolist(), ev.dst[up].tolist(), ev.dij[up].tolist()):
-        gap = loads[u] - loads[v]
-        total += (1.0 - 2.0 / alpha) * gap * gap / (alpha * dij * (inv[u] + inv[v]))
-    return total - g.node_count / alpha
+    up = ev.src < ev.dst    # each edge once
+    u, v = ev.src[up], ev.dst[up]
+    gap = loads[u] - loads[v]
+    total = np.sum((1.0 - 2.0 / alpha) * gap * gap / (alpha * ev.dij[up] * (inv[u] + inv[v])))
+    return float(total) - g.node_count / alpha
 
 
 def psi0_lambda2_bound(g: GraphTopology, sp: SpeedProfile, state: LoadState,

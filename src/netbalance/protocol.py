@@ -64,7 +64,7 @@ from .rng import (
     key_prefix,
     keyed_generator,
 )
-from .spectral import SpeedProfile
+from .spectral import SpeedProfile, as_fraction
 
 MODE_UNIFORM = "uniform"
 MODE_WEIGHTED = "weighted"
@@ -390,22 +390,28 @@ def resolve_alpha(params: ProtocolParams, sp: SpeedProfile) -> Fraction:
     return Fraction(params.alpha)
 
 
-def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> np.ndarray:
+def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState,
+             eps: Fraction | int = 0) -> np.ndarray:
     """Directed-edge mask, in `g.edge_arrays` order (per row for a stack), of
-    the strict migration condition l_i - l_j > 1/s_j.
+    the strict condition (1 - eps)*l_i - l_j > 1/s_j: at eps = 0 the migration
+    condition, and for an exact rational eps in (0, 1) the edges that keep the
+    state from being an eps-approximate equilibrium, a subset of those.
 
     Every question of which edges trigger is answered here, exactly and alike
-    for both modes: with W_i = w_i/Q (w_i from `node_units`, Q the `quantum`)
-    and s_i = n_i*eps, it is w_i*n_j - w_j*n_i > n_i*Q on int64 cross
-    products; a state whose products could overflow is a ConfigError.
+    for both modes: with W_i = w_i/Q (w_i from `node_units`, Q the `quantum`),
+    s_i = n_i times the speed granularity and eps = a/b, it is
+    (b - a)*w_i*n_j - b*w_j*n_i > b*n_i*Q on int64 cross products; a state
+    or eps whose products could overflow is a ConfigError.
     """
     if sp.n != g.node_count:
         raise ConfigError(f"speed profile has {sp.n} entries for a {g.node_count}-node graph")
     ev = g.edge_arrays
+    a, b = eps.numerator, eps.denominator
     w, mult, q = state.node_units(), sp.int_multipliers, state.quantum
-    if w.size and max(int(w.max()), q) * (int(mult.max()) + 1) >= _INT_GUARD:
+    if w.size and b * max(int(w.max()), q) * (int(mult.max()) + 1) >= _INT_GUARD:
         raise ConfigError("task loads too large for exact 64-bit comparisons")
-    return w[..., ev.src] * mult[ev.dst] - w[..., ev.dst] * mult[ev.src] > q * mult[ev.src]
+    return ((b - a) * w[..., ev.src] * mult[ev.dst] - b * w[..., ev.dst] * mult[ev.src]
+            > b * q * mult[ev.src])
 
 
 class RoundKernel:
@@ -496,14 +502,14 @@ def is_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState):
     return nash if state.stacked else bool(nash)
 
 
-def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState, eps: float):
-    """True iff (1 - eps) * l_i - l_j <= 1/s_j on every directed edge (per row for a stack)."""
-    if not 0.0 < eps < 1.0:
+def is_approx_nash(g: GraphTopology, sp: SpeedProfile, state: LoadState, eps):
+    """True iff (1 - eps)*l_i - l_j <= 1/s_j on every directed edge (per row
+    for a stack): no edge of the eps `triggers` mask. eps is an exact rational
+    in (0, 1) (`as_fraction`: "7/10" or "0.7"; a float is a ConfigError)."""
+    eps = as_fraction(eps, "eps")
+    if not 0 < eps < 1:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    ev = g.edge_arrays
-    loads = state.loads(sp)
-    lhs = (1.0 - eps) * loads[..., ev.src] - loads[..., ev.dst]
-    ok = (lhs <= sp.inv_floats[ev.dst]).all(axis=-1)
+    ok = ~triggers(g, sp, state, eps).any(axis=-1)
     return ok if state.stacked else bool(ok)
 
 

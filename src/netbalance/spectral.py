@@ -42,11 +42,12 @@ BOUND_TOL = 1e-8
 DENSE_SOLVE_MAX_NODES = 4096
 
 
-def _as_fraction(value) -> Fraction:
-    """Exact conversion; floats are rejected because granularity needs exact input."""
+def as_fraction(value, what: str = "speed") -> Fraction:
+    """Exact conversion of an int, Fraction, or 'p/q' or decimal string ("0.7"
+    is 7/10); floats are rejected because exact comparisons need exact input."""
     if isinstance(value, float):
         raise ConfigError(
-            f"speed {value!r} given as float; speeds must be exact rationals "
+            f"{what} {value!r} given as float; it must be an exact rational "
             "(int, Fraction, or 'p/q' string)"
         )
     if isinstance(value, Fraction):
@@ -57,8 +58,8 @@ def _as_fraction(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot interpret speed {value!r}: {exc}") from exc
-    raise ConfigError(f"cannot interpret speed {value!r} as an exact rational")
+            raise ConfigError(f"cannot interpret {what} {value!r}: {exc}") from exc
+    raise ConfigError(f"cannot interpret {what} {value!r} as an exact rational")
 
 
 def granularity_of(speeds: Iterable) -> tuple[Fraction, tuple[int, ...]]:
@@ -67,7 +68,7 @@ def granularity_of(speeds: Iterable) -> tuple[Fraction, tuple[int, ...]]:
     eps is maximal with every s_i an integer multiple of it:
     gcd(p1/q1, ..., pk/qk) = gcd(p1..pk) / lcm(q1..qk).
     """
-    pairs = [(f.numerator, f.denominator) for f in map(_as_fraction, speeds)]
+    pairs = [(f.numerator, f.denominator) for f in map(as_fraction, speeds)]
     if not pairs or any(p <= 0 for p, _ in pairs):
         raise ConfigError("granularity needs a nonempty list of positive rationals")
     num = math.gcd(*(p for p, _ in pairs))
@@ -94,7 +95,7 @@ class SpeedProfile:
     @classmethod
     def from_rationals(cls, values: Iterable) -> "SpeedProfile":
         """Build a profile from exact rationals, normalizing by the minimum."""
-        fracs = [_as_fraction(v) for v in values]
+        fracs = [as_fraction(v) for v in values]
         if not fracs:
             raise ConfigError("speed profile must not be empty")
         if any(f <= 0 for f in fracs):

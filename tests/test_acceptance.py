@@ -193,7 +193,7 @@ def test_criterion_6_approx_ne_implication():
         ProtocolParams(rng_seed=derive_seed(ACCEPT_SEED, 6)),
         StopRule("psi-threshold"), trials=50, round_cap=cap,
         psi_threshold=threshold)
-    eps = 2.0 / (1 + delta)
+    eps = Fraction(2, 1 + delta)
     violations = sum(
         1 for r in summary.results
         if r.truncated or not is_approx_nash(g, sp, r.final_state, eps))

@@ -1,6 +1,7 @@
 """Trials, convergence summaries, scaling rows, and the lemma suite."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,12 +80,28 @@ def test_hitting_time_monotone_in_eps():
     base = ProtocolParams(rng_seed=77)
     init = all_on_one_state(2, 60)
     hits = {}
-    for eps in (0.8, 0.4, 0.2):
+    for eps in (Fraction(4, 5), Fraction(2, 5), Fraction(1, 5)):
         res = run_trial(K2, UNI2, init, base, StopRule("approx-ne", eps=eps),
                         round_cap=20000)
         assert not res.truncated
         hits[eps] = res.rounds_to_approx_ne
-    assert hits[0.8] <= hits[0.4] <= hits[0.2]
+    assert hits[Fraction(4, 5)] <= hits[Fraction(2, 5)] <= hits[Fraction(1, 5)]
+
+
+def test_approx_ne_exact_tie_hits_at_round_zero():
+    # (3/10)*10 - 2 = 1 = 1/s_j exactly, so the start is a 7/10-approximate
+    # equilibrium; float loads made the left side 1.0000000000000004 and put
+    # the hit at a later round. "0.7" is read as the decimal 7/10.
+    for eps in (Fraction(7, 10), "7/10", "0.7"):
+        res = run_trial(K2, UNI2, LoadState.uniform((2, 10)), ProtocolParams(rng_seed=1),
+                        StopRule("approx-ne", eps=eps), round_cap=100)
+        assert res.rounds_to_approx_ne == 0 and res.rounds_executed == 0
+
+
+def test_stop_refuses_a_float_eps():
+    # A binary float is a different rational than the decimal it prints as.
+    with pytest.raises(ConfigError, match="float"):
+        StopRule("approx-ne", eps=0.7)
 
 
 def test_psi_threshold_recorded_under_other_stop():

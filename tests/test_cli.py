@@ -53,6 +53,25 @@ def test_config_round_trip(tmp_path):
     assert parse_config("".join(f"{k} = {v}\n" for k, v in block.items())) == cfg
 
 
+def test_approx_ne_eps_is_read_as_a_decimal(tmp_path):
+    # protocol.eps = 0.7 is the rational 7/10, not the binary float nearest
+    # it: both spellings run and echo the same. (3/10)*10 - 2 = 1/s_j exactly,
+    # so every trial hits at round 0.
+    text = BASIC_CONFIG.replace("run.stop = exact-ne", "run.stop = approx-ne").replace(
+        "tasks.counts = 4,0", "tasks.counts = 10,2")
+    summaries = []
+    for name, eps in (("fraction", "7/10"), ("decimal", "0.7")):
+        path = write_config(tmp_path, text + f"protocol.eps = {eps}\n", f"{name}.cfg")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / name)]) == EXIT_OK
+        summaries.append((tmp_path / name / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    payload = json.loads(summaries[0])
+    assert payload["config"]["protocol.eps"] == "7/10"
+    assert [t["rounds_to_approx_ne"] for t in payload["per_trial"]] == [0, 0]
+    with pytest.raises(ConfigError, match="bad value for protocol.eps"):
+        parse_config("protocol.eps = 7/x\n")
+
+
 def test_run_leaves_numpy_ma_unimported(tmp_path):
     # np.percentile's first call imports numpy.ma (about 20 ms per process);
     # a run's hitting-time quartiles need neither.

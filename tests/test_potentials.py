@@ -157,7 +157,7 @@ def test_exact_variance_sum_examples():
     st = LoadState.uniform((2, 0))
     v = exact_variance_sum(node_change_moments(K2, UNI2, st, PARAMS))
     assert v == Fraction(7, 16)
-    rhs = variance_bound(K2, UNI2, st, PARAMS)
+    rhs = variance_bound(K2, UNI2, st, PARAMS, triggers(K2, UNI2, st))
     assert rhs == pytest.approx(0.5, abs=1e-15)
     assert float(v) <= rhs
     nash = LoadState.uniform((1, 1))
@@ -167,7 +167,7 @@ def test_exact_variance_sum_examples():
     for _ in range(25):
         st = LoadState.uniform(rng.integers(0, 9, size=4))
         assert float(exact_variance_sum(node_change_moments(C4, sp, st, PARAMS))) <= \
-            variance_bound(C4, sp, st, PARAMS) + 1e-12
+            variance_bound(C4, sp, st, PARAMS, triggers(C4, sp, st)) + 1e-12
 
 
 def test_drop_quadratic_bound_on_random_states():

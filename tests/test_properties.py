@@ -1,7 +1,8 @@
 """Invariants of one round as properties over random tiny states.
 
 Instances: K2, P3 and C4 with speeds 1,2 or 1,3/2 repeated along the nodes
-(random rationals for the trigger property; K4 too and per-node speeds from
+(random rationals for the trigger property, random rational eps in (0, 1)
+for the approximate-equilibrium mask; K4 too and per-node speeds from
 five rationals for the moments pass), unit or weighted tasks, bare or
 stacked as the rows of one state, any seed and round index. Every property is a theorem about the protocol or its
 implementation, so any counterexample is a bug.
@@ -27,6 +28,7 @@ from netbalance.protocol import (
     ProtocolParams,
     RoundKernel,
     exact_ne_alpha,
+    is_approx_nash,
     non_nash_edges,
     step_round_totals,
     triggers,
@@ -243,6 +245,41 @@ def stacks(draw, max_rows=5, modes=("uniform", "weighted")):
                                                    min_size=n, max_size=n)))
                   for _ in range(rows)]
     return g, sp, states
+
+
+def exact_node_weights(state):
+    """W_i of one state as Fractions, from its per-task units (or its counts)."""
+    if state.units is None:
+        return [Fraction(c) for c in state.counts.tolist()]
+    ends = np.cumsum(state.counts).tolist()
+    units = state.units.tolist()
+    return [Fraction(sum(units[e - c:e]), WEIGHT_UNITS)
+            for e, c in zip(ends, state.counts.tolist())]
+
+
+open_unit = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+    lambda eps: 0 < eps < 1)
+
+
+@PROPERTY
+@given(stacks(), st.booleans(), open_unit)
+@example((GRAPHS[0], SpeedProfile.uniform(2), [LoadState.uniform((2, 10))]), True,
+         Fraction(7, 10))     # (3/10)*10 - 2 = 1/s_j exactly: approximately Nash
+def test_approx_mask_matches_the_exact_condition(inst, bare, eps):
+    # The eps mask is (1 - eps)*l_i - l_j > 1/s_j in Fractions, edge by edge,
+    # a subset of the eps = 0 mask; is_approx_nash is "no edge of it".
+    g, sp, states = inst
+    state = states[0] if bare else LoadState.stack(states)
+    mask = triggers(g, sp, state, eps)
+    assert not (mask & ~triggers(g, sp, state)).any()
+    approx = is_approx_nash(g, sp, state, eps)
+    ev = g.edge_arrays
+    for row, (one, row_mask) in enumerate(zip(states, mask.reshape(-1, len(ev.src)))):
+        loads = [w / s for w, s in zip(exact_node_weights(one), sp.speeds)]
+        exact = [(1 - eps) * loads[i] - loads[j] > 1 / sp.speeds[j]
+                 for i, j in zip(ev.src.tolist(), ev.dst.tolist())]
+        assert row_mask.tolist() == exact
+        assert (approx if bare else approx[row]) == (not any(exact))
 
 
 @PROPERTY

@@ -149,13 +149,28 @@ def test_is_nash_examples():
 
 
 def test_is_approx_nash_examples():
-    assert is_approx_nash(K2, UNI2, LoadState.uniform((4, 2)), 0.5)
-    assert not is_approx_nash(K2, UNI2, LoadState.uniform((8, 0)), 0.1)
+    assert is_approx_nash(K2, UNI2, LoadState.uniform((4, 2)), Fraction(1, 2))
+    assert not is_approx_nash(K2, UNI2, LoadState.uniform((8, 0)), Fraction(1, 10))
     # Any exact equilibrium is an approximate one at every eps.
-    for eps in (0.1, 0.5, 0.9):
+    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
         assert is_approx_nash(K2, UNI2, LoadState.uniform((2, 2)), eps)
     with pytest.raises(ConfigError):
-        is_approx_nash(K2, UNI2, LoadState.uniform((2, 2)), 1.0)
+        is_approx_nash(K2, UNI2, LoadState.uniform((2, 2)), Fraction(1))
+
+
+def test_approx_eps_is_exact_and_guarded():
+    # A float eps is refused; eps = a/b scales the cross products by b, so a
+    # denominator that passes the int64 guard is refused, never wrapped: 1/2^40
+    # fits beside a few unit tasks but not beside weights in units of 2^-27.
+    with pytest.raises(ConfigError, match="float"):
+        is_approx_nash(K2, UNI2, LoadState.uniform((2, 10)), 0.7)
+    fine = Fraction(1, 2**40)
+    assert is_approx_nash(K2, UNI2, LoadState.uniform((3, 2)), fine)
+    assert not is_approx_nash(K2, UNI2, LoadState.uniform((4, 1)), fine)
+    heavy = LoadState.weighted([[1.0], [1.0]])
+    for predicate in (is_approx_nash, triggers):
+        with pytest.raises(ConfigError, match="64-bit"):
+            predicate(K2, UNI2, heavy, fine)
 
 
 def test_granularity_strengthened_threshold():
