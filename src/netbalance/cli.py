@@ -346,10 +346,9 @@ def cmd_run(config_path, out_dir_override=None) -> int:
     params = build_params(cfg, sp)
     stop = build_stop(cfg)
 
+    # lambda2 before the trials, so that an explicit graph too large for it fails fast.
     lam2 = lambda2_of(g)
     psi_c = critical_value(g, sp, lam2, constant=cfg.protocol_psi_constant)
-    # Before the trials, so that a graph past the dense-solve limit fails fast.
-    spec_sum = spectral_summary(g, sp)
     summary = analysis.measure_convergence(
         g, sp, init_spec, params, stop, cfg.run_trials, cfg.run_round_cap,
         psi_threshold=4.0 * psi_c, approx_eps=cfg.protocol_eps,
@@ -380,11 +379,7 @@ def cmd_run(config_path, out_dir_override=None) -> int:
             "values": [str(s) for s in sp.speeds],
             "s_max": str(sp.s_max), "granularity": str(sp.granularity),
         },
-        "spectral": {
-            "lambda2": spec_sum.lambda2, "mu2": spec_sum.mu2,
-            "bounds": [{"name": b.name, "lhs": b.lhs, "rhs": b.rhs, "holds": b.holds}
-                       for b in spec_sum.bound_report],
-        },
+        "spectral": {"lambda2": lam2},
         "alpha": str(resolve_alpha(params, sp)),
         "psi_c": psi_c,
         "psi_threshold": 4.0 * psi_c,
@@ -414,8 +409,6 @@ def cmd_spectra(args) -> int:
         family = args.family
     if args.speeds:
         sp = SpeedProfile.from_rationals(p.strip() for p in args.speeds.split(","))
-        if sp.n != g.node_count:
-            raise ConfigError(f"{sp.n} speeds for a {g.node_count}-node graph")
     else:
         sp = SpeedProfile.uniform(g.node_count)
     summary = spectral_summary(g, sp)
@@ -428,12 +421,10 @@ def cmd_spectra(args) -> int:
     print(f"mu2 = {fmt17(summary.mu2)}")
     print(f"psi_c = {fmt17(critical_value(g, sp, lam2))}")
     print(f"gamma = {fmt17(gamma_factor(g, sp, lam2))}")
-    ok = True
     for b in summary.bound_report:
         status = "pass" if b.holds else "FAIL"
-        ok = ok and b.holds
         print(f"bound {b.name}: {fmt17(b.lhs)} <= {fmt17(b.rhs)}  {status}")
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK if summary.all_hold else EXIT_VERIFICATION
 
 
 def cmd_verify(args) -> int:

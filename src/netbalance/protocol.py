@@ -408,8 +408,13 @@ def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     ev = g.edge_arrays
     a, b = eps.numerator, eps.denominator
     w, mult, q = state.node_units(), sp.int_multipliers, state.quantum
-    if w.size and b * max(int(w.max()), q) * (int(mult.max()) + 1) >= _INT_GUARD:
-        raise ConfigError("task loads too large for exact 64-bit comparisons")
+    if w.size:
+        units, mult_bound = max(int(w.max()), q), int(mult.max()) + 1
+        if b * units * mult_bound >= _INT_GUARD:
+            raise ConfigError(
+                "exact 64-bit comparisons need b*max(max w_i, Q)*(max n_i + 1) < 2^62, "
+                f"got eps denominator b = {b}, max(max w_i, Q) = {units}, "
+                f"max n_i + 1 = {mult_bound}")
     return ((b - a) * w[..., ev.src] * mult[ev.dst] - b * w[..., ev.dst] * mult[ev.src]
             > b * q * mult[ev.src])
 

@@ -211,6 +211,7 @@ def test_cmd_spectra_speeds(capsys):
 
 def test_cmd_spectra_bad_graph():
     assert main(["spectra", "--family", "cycle", "--n", "2"]) == EXIT_CONFIG
+    assert main(["spectra", "--family", "cycle", "--n", "4", "--speeds", "1,2"]) == EXIT_CONFIG
 
 
 def test_cmd_verify_default(tmp_path, capsys):

@@ -171,6 +171,12 @@ def test_approx_eps_is_exact_and_guarded():
     for predicate in (is_approx_nash, triggers):
         with pytest.raises(ConfigError, match="64-bit"):
             predicate(K2, UNI2, heavy, fine)
+    # The same state passes at eps = 0, and the message names the factor
+    # that broke the guard.
+    assert not triggers(K2, UNI2, heavy).any()
+    with pytest.raises(ConfigError, match=r"eps denominator b = 1099511627776, "
+                                          r"max\(max w_i, Q\) = 134217728, max n_i \+ 1 = 2"):
+        triggers(K2, UNI2, heavy, fine)
 
 
 def test_granularity_strengthened_threshold():

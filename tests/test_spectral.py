@@ -1,5 +1,6 @@
 """Speed profiles, Laplacian spectra, and the spectral bound report."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from netbalance import spectral
-from netbalance.cli import EXIT_CONFIG, EXIT_INTERNAL, main as cli_main
+from netbalance.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main as cli_main
 from netbalance.errors import ConfigError, EigensolverError
 from netbalance.graphs import make_graph
 from netbalance.spectral import (
@@ -343,6 +344,63 @@ def test_dense_solve_size_limit_explicit_graph(monkeypatch):
         lambda2_of(star)
     small_star = make_graph("explicit", n=8, edges=[(0, k) for k in range(1, 8)])
     assert lambda2_of(small_star) == pytest.approx(1.0, abs=1e-10)  # star S_k: 1
+
+
+RUN_CONFIG = """\
+graph.family = cycle
+graph.n = 8
+speeds.mode = explicit
+speeds.values = 1,3/2,1,2,1,3/2,1,2
+tasks.mode = uniform
+tasks.count = 64
+run.trials = 2
+run.stop = fixed-rounds
+run.rounds = 5
+run.master_seed = 42
+"""
+
+
+def _run(tmp_path, text):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    code = cli_main(["run", str(cfg_path)])
+    summary = tmp_path / "out" / "summary.json"
+    return code, json.loads(summary.read_text()) if summary.exists() else None
+
+
+def test_run_makes_no_dense_solve_on_family_graphs(tmp_path, monkeypatch):
+    # A run reads lambda2 only, in closed form for a family graph: mu2 and
+    # the bound rows belong to `netbalance spectra`.
+    _forbid_dense_solve(monkeypatch)
+    code, summary = _run(tmp_path, RUN_CONFIG)
+    assert code == EXIT_OK
+    assert summary["spectral"] == {"lambda2": lambda2_of(make_graph("cycle", n=8))}
+    # So no dense-solve limit applies to a family graph with non-uniform speeds.
+    monkeypatch.setattr(spectral, "DENSE_SOLVE_MAX_NODES", 8)
+    text = RUN_CONFIG.replace("graph.n = 8", "graph.n = 9").replace(
+        "1,3/2,1,2,1,3/2,1,2", ",".join(["2"] + ["1"] * 8))
+    assert _run(tmp_path, text)[0] == EXIT_OK
+
+
+def test_explicit_graph_run_solves_lambda2_once(tmp_path, monkeypatch):
+    solves = []
+    real = spectral.eigen_decomposition
+    monkeypatch.setattr(spectral, "eigen_decomposition",
+                        lambda mat: solves.append(mat.shape) or real(mat))
+    spectral._solved_lambda2.cache_clear()
+    (tmp_path / "star.edges").write_text(
+        "9\n" + "".join(f"0 {k}\n" for k in range(1, 9)), encoding="utf-8")
+    text = RUN_CONFIG.replace("graph.family = cycle\ngraph.n = 8",
+                              "graph.family = explicit\ngraph.edge_list = star.edges").replace(
+        "1,3/2,1,2,1,3/2,1,2", "1,3/2,1,2,1,3/2,1,2,1")
+    # Past the limit the run fails on lambda2, before any output is made.
+    monkeypatch.setattr(spectral, "DENSE_SOLVE_MAX_NODES", 8)
+    assert _run(tmp_path, text) == (EXIT_CONFIG, None)
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(spectral, "DENSE_SOLVE_MAX_NODES", DENSE_SOLVE_MAX_NODES)
+    code, summary = _run(tmp_path, text)
+    assert code == EXIT_OK and solves == [(9, 9)]
+    assert summary["spectral"]["lambda2"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_granularity_computed_once(monkeypatch):
