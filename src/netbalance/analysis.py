@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -357,30 +356,36 @@ class SuiteReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _ge(lemma, case, lhs, rhs, tol, state) -> LemmaCheck:
-    """Check lhs >= rhs - tol*scale (reported as margin = lhs - rhs)."""
-    slack = tol * max(1.0, abs(rhs))
+#: Relative slack of the float lemma checks: lhs may miss rhs by
+#: LEMMA_TOL * max(1, |rhs|).
+LEMMA_TOL = 1e-9
+
+
+def _ge(lemma, case, lhs, rhs, state) -> LemmaCheck:
+    """Check lhs >= rhs - LEMMA_TOL*scale (reported as margin = lhs - rhs)."""
+    slack = LEMMA_TOL * max(1.0, abs(rhs))
     ok = bool(lhs >= rhs - slack)
     return LemmaCheck(lemma, case, float(lhs), float(rhs), float(lhs - rhs), ok,
                       None if ok else state.to_payload())
 
 
-def _le(lemma, case, lhs, rhs, tol, state) -> LemmaCheck:
-    """Check lhs <= rhs + tol*scale on floats."""
-    ok = bool(lhs - rhs <= tol * max(1.0, abs(rhs)))
+def _le(lemma, case, lhs, rhs, state) -> LemmaCheck:
+    """Check lhs <= rhs + LEMMA_TOL*scale on floats."""
+    ok = bool(lhs - rhs <= LEMMA_TOL * max(1.0, abs(rhs)))
     return LemmaCheck(lemma, case, float(lhs), float(rhs), float(rhs - lhs), ok,
                       None if ok else state.to_payload())
 
 
-def _le_exact(lemma, case, lhs: Fraction, rhs: Fraction, state) -> LemmaCheck:
-    """Check lhs <= rhs exactly, with no slack."""
+def _le_exact(lemma, case, lhs, rhs, state) -> LemmaCheck:
+    """Check lhs <= rhs with no slack: exact on Fractions, and on floats
+    whose rhs already holds the tolerance."""
     margin = rhs - lhs
     ok = margin >= 0
     return LemmaCheck(lemma, case, float(lhs), float(rhs), float(margin), ok,
                       None if ok else state.to_payload())
 
 
-def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
+def verify_case(case: CorpusCase) -> list[LemmaCheck]:
     """Every lemma inequality the suite covers, evaluated on one corpus state."""
     g, sp, state = case.graph, case.speeds, case.state
     checks: list[LemmaCheck] = []
@@ -393,12 +398,12 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
 
     drop0 = float(exact_expected_psi0_drop(moments))
     checks.append(_ge("drop-quadratic", case.name, drop0,
-                      drop_quadratic_bound(g, sp, state, params), tol, state))
+                      drop_quadratic_bound(g, sp, state, params), state))
     checks.append(_ge("psi0-drop-lambda2", case.name, drop0,
-                      psi0_lambda2_bound(g, sp, state, lam2), tol, state))
+                      psi0_lambda2_bound(g, sp, state, lam2), state))
     checks.append(_le("variance-sum", case.name,
                       float(exact_variance_sum(moments)),
-                      variance_bound(g, sp, state, params, inputs.trig), tol, state))
+                      variance_bound(g, sp, state, params, inputs.trig), state))
 
     snap = snapshot(g, sp, state)
     psi0, ld2 = exact_psi0_and_ldelta2(inputs)
@@ -406,7 +411,7 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
     checks.append(_le_exact("l-delta-sandwich-upper", case.name, psi0,
                             sp.total_capacity * ld2, state))
 
-    checks.extend(_psi1_observations(case, snap, moments, tol))
+    checks.extend(_psi1_observations(case, snap, moments))
 
     if state.mode == MODE_UNIFORM:
         checks.extend(_granularity_checks(case, inputs))
@@ -415,14 +420,14 @@ def verify_case(case: CorpusCase, tol: float = 1e-9) -> list[LemmaCheck]:
             drop1 = float(exact_expected_psi1_drop(
                 potentials.node_change_moments(g, sp, state, exact_params, inputs)))
             floor = psi1_drop_floor(g, sp)
-            checks.append(_ge("psi1-drop-floor", case.name, drop1, floor, tol, state))
+            checks.append(_ge("psi1-drop-floor", case.name, drop1, floor, state))
             # Supermartingale restatement: psi1 - drop + floor <= psi1.
             checks.append(_le("supermartingale", case.name,
-                              snap.psi1 - drop1 + floor, snap.psi1, tol, state))
+                              snap.psi1 - drop1 + floor, snap.psi1, state))
     return checks
 
 
-def _psi1_observations(case: CorpusCase, snap, moments, tol) -> list[LemmaCheck]:
+def _psi1_observations(case: CorpusCase, snap, moments) -> list[LemmaCheck]:
     g, sp, state = case.graph, case.speeds, case.state
     n = g.node_count
     e = state.deviations(sp)
@@ -432,19 +437,19 @@ def _psi1_observations(case: CorpusCase, snap, moments, tol) -> list[LemmaCheck]
     checks = []
     # (1) psi1 equals the completed-square form.
     form1 = float(np.sum((e + 0.5) ** 2 * inv)) - n / (4.0 * float(sp.arithmetic_mean))
-    checks.append(_le("psi1-obs1-identity", case.name, abs(snap.psi1 - form1),
-                      tol * max(1.0, snap.phi1), 0.0, state))
+    checks.append(_le_exact("psi1-obs1-identity", case.name, abs(snap.psi1 - form1),
+                            LEMMA_TOL * max(1.0, snap.phi1), state))
     # (2) psi1 is non-negative.
-    checks.append(_ge("psi1-obs2-nonneg", case.name, snap.psi1, 0.0, tol, state))
+    checks.append(_ge("psi1-obs2-nonneg", case.name, snap.psi1, 0.0, state))
     # (3) psi1 = psi0 + sum e_i/s_i + (n/4)(1/harmonic - 1/arithmetic).
     form3 = snap.psi0 + float(np.sum(e * inv)) + n / 4.0 * (
         1.0 / float(sp.harmonic_mean) - 1.0 / float(sp.arithmetic_mean))
-    checks.append(_le("psi1-obs3-identity", case.name, abs(snap.psi1 - form3),
-                      tol * max(1.0, snap.phi1), 0.0, state))
+    checks.append(_le_exact("psi1-obs3-identity", case.name, abs(snap.psi1 - form3),
+                            LEMMA_TOL * max(1.0, snap.phi1), state))
     # (4) the phi1 and psi1 assemblies of the expected drop agree.
     via_phi1, via_psi1 = phi1_drop_routes(moments, sp, state)
-    checks.append(_le("psi1-obs4-drop-identity", case.name, abs(via_phi1 - via_psi1),
-                      tol * max(1.0, abs(via_phi1), total**2 / cap), 0.0, state))
+    checks.append(_le_exact("psi1-obs4-drop-identity", case.name, abs(via_phi1 - via_psi1),
+                            LEMMA_TOL * max(1.0, abs(via_phi1), total**2 / cap), state))
     return checks
 
 
@@ -475,18 +480,11 @@ def _granularity_checks(case: CorpusCase,
                        float(margin), margin >= 0, None if margin >= 0 else state.to_payload())]
 
 
-def verify_lemma_suite(cases: list[CorpusCase] | None = None,
-                       tol: float = 1e-9) -> SuiteReport:
-    """Evaluate every covered lemma inequality across the corpus.
-
-    tol must be finite and non-negative: a NaN or infinite slack makes the
-    identity checks NaN, and a negative one fails checks that hold exactly.
-    """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tol must be a finite non-negative number, got {tol}")
+def verify_lemma_suite(cases: list[CorpusCase] | None = None) -> SuiteReport:
+    """Evaluate every covered lemma inequality across the corpus (default: `default_corpus`)."""
     if cases is None:
         cases = default_corpus()
     checks: list[LemmaCheck] = []
     for case in cases:
-        checks.extend(verify_case(case, tol))
+        checks.extend(verify_case(case))
     return SuiteReport(passed=all(c.passed for c in checks), checks=tuple(checks))

@@ -72,10 +72,8 @@ class ExperimentConfig:
     tasks_node: int = 0
     tasks_counts: str | None = None
     tasks_weights: str | None = None
-    tasks_seed: int | None = None
     protocol_alpha: Fraction | None = None
     protocol_eps: Fraction | None = None
-    protocol_psi_constant: int = 8
     run_trials: int = 1
     run_round_cap: int = 100000
     run_stop: str = ""
@@ -164,7 +162,7 @@ def build_speeds(cfg: ExperimentConfig, n: int) -> SpeedProfile:
     if cfg.speeds_mode == "explicit":
         if not cfg.speeds_values:
             raise ConfigError("explicit speeds need speeds.values")
-        parts = [p.strip() for p in cfg.speeds_values.split(",") if p.strip()]
+        parts = [p.strip() for p in cfg.speeds_values.split(",")]
         if len(parts) != n:
             raise ConfigError(f"speeds.values has {len(parts)} entries for {n} nodes")
         return SpeedProfile.from_rationals(parts)
@@ -237,9 +235,7 @@ def build_init_spec(cfg: ExperimentConfig, g: GraphTopology):
                 n, m, derive_seed(master, STREAM_PLACEMENT, t))
         raise ConfigError(f"unknown tasks.placement {cfg.tasks_placement!r}")
     if mode == "weighted-random":
-        wseed = cfg.tasks_seed if cfg.tasks_seed is not None else \
-            derive_seed(master, STREAM_WEIGHTS)
-        weights = random_task_weights(m, wseed)
+        weights = random_task_weights(m, derive_seed(master, STREAM_WEIGHTS))
         if cfg.tasks_placement == "all-on-one":
             state = weighted_all_on_one(weights, n, cfg.tasks_node)
             return lambda t: state
@@ -348,7 +344,7 @@ def cmd_run(config_path, out_dir_override=None) -> int:
 
     # lambda2 before the trials, so that an explicit graph too large for it fails fast.
     lam2 = lambda2_of(g)
-    psi_c = critical_value(g, sp, lam2, constant=cfg.protocol_psi_constant)
+    psi_c = critical_value(g, sp, lam2)
     summary = analysis.measure_convergence(
         g, sp, init_spec, params, stop, cfg.run_trials, cfg.run_round_cap,
         psi_threshold=4.0 * psi_c, approx_eps=cfg.protocol_eps,
@@ -400,20 +396,16 @@ def cmd_run(config_path, out_dir_override=None) -> int:
 
 
 def cmd_spectra(args) -> int:
-    if args.edge_list:
-        g = load_edge_list(args.edge_list)
-        family = "explicit"
-    else:
-        g = make_graph(args.family, n=args.n, rows=args.rows, cols=args.cols,
-                       dim=args.dim)
-        family = args.family
-    if args.speeds:
-        sp = SpeedProfile.from_rationals(p.strip() for p in args.speeds.split(","))
-    else:
-        sp = SpeedProfile.uniform(g.node_count)
+    cfg = ExperimentConfig(
+        graph_family="explicit" if args.edge_list else args.family, graph_n=args.n,
+        graph_rows=args.rows, graph_cols=args.cols, graph_dim=args.dim,
+        graph_edge_list=args.edge_list,
+        speeds_mode="explicit" if args.speeds else "uniform", speeds_values=args.speeds)
+    g = build_graph(cfg, Path())
+    sp = build_speeds(cfg, g.node_count)
     summary = spectral_summary(g, sp)
     lam2 = summary.lambda2
-    print(f"graph: {family} n={g.node_count} edges={g.edge_count} "
+    print(f"graph: {cfg.graph_family} n={g.node_count} edges={g.edge_count} "
           f"max_degree={g.max_degree} diameter={g.diameter}")
     print(f"speeds: {', '.join(str(s) for s in sp.speeds)} "
           f"(s_max={sp.s_max}, granularity={sp.granularity})")
@@ -428,11 +420,10 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cases = default_corpus(nash_only=(args.corpus == "nash-only"))
-    report = analysis.verify_lemma_suite(cases, tol=args.tol)
+    cases = default_corpus()
+    report = analysis.verify_lemma_suite(cases)
     payload = {
         "passed": report.passed,
-        "corpus": args.corpus,
         "cases": len(cases),
         "checks": [
             {
@@ -447,7 +438,7 @@ def cmd_verify(args) -> int:
                                  newline="\n")
     failures = report.failures()
     print(f"lemma checks: {len(report.checks)} evaluated, {len(failures)} failed "
-          f"({args.corpus} corpus); report written to {args.report}")
+          f"(default corpus); report written to {args.report}")
     for c in failures[:10]:
         print(f"  FAIL {c.lemma} on {c.case}: lhs={fmt17(c.lhs)} rhs={fmt17(c.rhs)}")
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -475,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rational speeds, e.g. '1,3/2,2'")
 
     p_ver = sub.add_parser("verify", help="run the lemma-verification suite")
-    p_ver.add_argument("--corpus", choices=("default", "nash-only"), default="default")
-    p_ver.add_argument("--tol", type=float, default=1e-9)
     p_ver.add_argument("--report", default="verify_report.json")
     return parser
 

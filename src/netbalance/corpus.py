@@ -18,7 +18,6 @@ from .graphs import GraphTopology, make_graph
 from .protocol import (
     LoadState,
     all_on_one_state,
-    is_nash,
     near_balanced_state,
     random_placement_state,
     random_task_weights,
@@ -92,12 +91,8 @@ def _weighted_states(g: GraphTopology, sp: SpeedProfile, tag: str) -> list[tuple
     ]
 
 
-def default_corpus(nash_only: bool = False) -> list[CorpusCase]:
-    """The full corpus; `nash_only` keeps just the states already at the threshold.
-
-    `nash_only` is a diagnostic subset: on it every drop lower bound is
-    vacuous or has a non-positive right-hand side.
-    """
+def default_corpus() -> list[CorpusCase]:
+    """The full corpus: every graph x speed pattern x task mode x state."""
     cases: list[CorpusCase] = []
     for gname, g in corpus_graphs():
         for sname, sp in corpus_speeds(g.node_count):
@@ -105,8 +100,6 @@ def default_corpus(nash_only: bool = False) -> list[CorpusCase]:
             for mode, states in (("uniform", _uniform_states(g, sp, tag)),
                                  ("weighted", _weighted_states(g, sp, tag))):
                 for state_name, state in states:
-                    if nash_only and not is_nash(g, sp, state):
-                        continue
                     cases.append(CorpusCase(
                         name=f"{tag}/{mode}/{state_name}",
                         graph_name=gname,

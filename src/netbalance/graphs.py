@@ -40,7 +40,6 @@ class EdgeArrays(NamedTuple):
 
     src: np.ndarray      # directed edge source, grouped by node
     dst: np.ndarray
-    ptr: np.ndarray      # CSR offsets: node i's out-edges are [ptr[i], ptr[i+1])
     dij: np.ndarray      # max(deg(src), deg(dst)) per directed edge
     deg: np.ndarray
     # (d, nodes of degree d ascending, their out-edges as a (nodes, d) block),
@@ -53,14 +52,11 @@ class EdgeArrays(NamedTuple):
         graph's state."""
         node_off = len(self.deg) * np.arange(rows)[:, None]
         edge_off = len(self.src) * np.arange(rows)[:, None]
-        deg = np.tile(self.deg, rows)
-        ptr = np.zeros(len(deg) + 1, dtype=np.int64)
-        np.cumsum(deg, out=ptr[1:])
         groups = tuple((d, (nodes + node_off).ravel(),
                         (edges + edge_off[:, :, None]).reshape(-1, d))
                        for d, nodes, edges in self.groups)
         return EdgeArrays((self.src + node_off).ravel(), (self.dst + node_off).ravel(),
-                          ptr, np.tile(self.dij, rows), deg, groups)
+                          np.tile(self.dij, rows), np.tile(self.deg, rows), groups)
 
 
 @dataclass(frozen=True)
@@ -76,10 +72,6 @@ class GraphTopology:
     # Closed-form algebraic connectivity of a family graph, None for explicit
     # graphs. Derived from the edges, so it takes no part in equality.
     lambda2: float | None = field(default=None, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.node_count
 
     @property
     def edge_count(self) -> int:
@@ -98,13 +90,12 @@ class GraphTopology:
         deg = np.array(self.degrees, dtype=np.int64)
         src = np.repeat(np.arange(self.node_count, dtype=np.int64), deg)
         dst = np.array([j for nbrs in self.neighbors for j in nbrs], dtype=np.int64)
-        ptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(deg, out=ptr[1:])
+        first = np.cumsum(deg) - deg     # node i's out-edges start at first[i]
         groups = []
         for d in sorted(set(self.degrees)):
             nodes = np.flatnonzero(deg == d)
-            groups.append((d, nodes, ptr[nodes, None] + np.arange(d)))
-        return EdgeArrays(src, dst, ptr, np.maximum(deg[src], deg[dst]), deg,
+            groups.append((d, nodes, first[nodes, None] + np.arange(d)))
+        return EdgeArrays(src, dst, np.maximum(deg[src], deg[dst]), deg,
                           tuple(groups))
 
 
@@ -126,6 +117,12 @@ def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None,
            lambda2: float | None = None) -> GraphTopology:
     if n < 2:
         raise ConfigError(f"graph needs at least 2 nodes, got {n}")
+    # Checked before anything of size n is built, so a huge n with few edges
+    # fails at once.
+    if len(edge_set) < n - 1:
+        raise DisconnectedGraphError(
+            f"graph is not connected: {n} nodes need at least {n - 1} edges, "
+            f"got {len(edge_set)}")
     edges = tuple(sorted(edge_set))
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:

@@ -195,24 +195,16 @@ class NodeMoments(NamedTuple):
 def moment_inputs(g: GraphTopology, sp: SpeedProfile, state: LoadState) -> MomentInputs:
     """The alpha-free inputs of `node_change_moments`, built once per state.
 
-    Both task modes give integers: unit tasks have Q = 1 and sum(u^2) = w_i;
-    weighted tasks sum u^2 exactly as three int64 block sums of a 14-bit
-    split of each unit (u = h*2^14 + l, u^2 = h^2*2^28 + h*l*2^15 + l^2). A
-    stack, or a state past the trigger's int64 guard, is a ConfigError.
+    Both task modes give integers: unit tasks have Q = 1, and sum(u^2) per
+    node is `LoadState.node_square_units`. A stack, or a state past the
+    trigger's int64 guard, is a ConfigError.
     """
     if state.stacked:
         raise ConfigError("the moments pass takes one state, not a stack")
     ev = g.edge_arrays
     trig = triggers(g, sp, state)
     w = state.node_units().tolist()
-    if state.tasks is None:
-        sq = w
-    else:
-        units = state.tasks.values
-        hi, lo = units >> 14, units & 0x3FFF
-        parts = (state.tasks.sums(state.counts, part).tolist()
-                 for part in (hi * hi, hi * lo, lo * lo))
-        sq = [(a << 28) + (b << 15) + c for a, b, c in zip(*parts)]
+    sq = state.node_square_units()
     mult = sp.multipliers
     top = math.lcm(*mult)
     total_mult, total = sum(mult), sum(w)
@@ -378,14 +370,11 @@ def psi1_drop_floor(g: GraphTopology, sp: SpeedProfile) -> float:
     return eps * eps / (8.0 * g.max_degree * float(sp.s_max) ** 3)
 
 
-def critical_value(g: GraphTopology, sp: SpeedProfile, lam2: float | None = None,
-                   constant: int = 8) -> float:
-    """psi_c = constant * n * Delta * s_max / lambda2 (definitional 8; Theorem-style 16)."""
-    if constant not in (8, 16):
-        raise ConfigError(f"psi_c constant must be 8 or 16, got {constant}")
+def critical_value(g: GraphTopology, sp: SpeedProfile, lam2: float | None = None) -> float:
+    """psi_c = 8 * n * Delta * s_max / lambda2."""
     if lam2 is None:
         lam2 = lambda2_of(g)
-    return constant * g.node_count * g.max_degree * float(sp.s_max) / lam2
+    return 8 * g.node_count * g.max_degree * float(sp.s_max) / lam2
 
 
 def gamma_factor(g: GraphTopology, sp: SpeedProfile, lam2: float | None = None) -> float:

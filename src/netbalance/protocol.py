@@ -318,6 +318,18 @@ class LoadState:
         the counts, or the exact sum of each node's weight units."""
         return self._node_sums[0]
 
+    def node_square_units(self) -> list[int]:
+        """sum(u^2) in units^2 per flat node, as exact Python ints: the counts
+        for unit tasks. Weighted units are summed as three int64 block sums
+        of a 14-bit split (u = h*2^14 + l, u^2 = h^2*2^28 + h*l*2^15 + l^2)."""
+        counts = self.counts.ravel()
+        if self.tasks is None:
+            return counts.tolist()
+        units = self.tasks.values
+        hi, lo = units >> 14, units & 0x3FFF
+        parts = (self.tasks.sums(counts, part).tolist() for part in (hi * hi, hi * lo, lo * lo))
+        return [(a << 28) + (b << 15) + c for a, b, c in zip(*parts)]
+
     def node_weights(self) -> np.ndarray:
         """W_i per node as a read-only float array: node_units() / quantum, the
         exact W_i, rounded only past 2^53 units."""

@@ -109,7 +109,7 @@ def test_criterion_2_cheeger_sandwich():
 
 def test_criterion_3_lemma_suite():
     t0 = time.time()
-    suite = verify_lemma_suite(tol=1e-9)
+    suite = verify_lemma_suite()
     elapsed = time.time() - t0
     failures = suite.failures()
     report("criterion 3 (exact-oracle lemma suite)",

@@ -24,6 +24,7 @@ from netbalance.protocol import (
     LoadState,
     ProtocolParams,
     all_on_one_state,
+    is_nash,
     random_task_weights,
     weighted_all_on_one,
 )
@@ -224,7 +225,8 @@ def test_scaling_experiment_smoke():
 
 
 def test_lemma_suite_passes_on_default_corpus():
-    report = verify_lemma_suite()
+    cases = default_corpus()
+    report = verify_lemma_suite(cases)
     assert report.passed, [f"{c.lemma}@{c.case}" for c in report.failures()[:5]]
     lemmas = {c.lemma for c in report.checks}
     assert {"drop-quadratic", "psi0-drop-lambda2", "variance-sum",
@@ -232,15 +234,14 @@ def test_lemma_suite_passes_on_default_corpus():
             "psi1-obs1-identity", "psi1-obs2-nonneg", "psi1-obs3-identity",
             "psi1-obs4-drop-identity", "granularity-gap",
             "psi1-drop-floor", "supermartingale"} <= lemmas
-
-
-def test_lemma_suite_nash_only_corpus():
-    cases = default_corpus(nash_only=True)
-    assert cases, "corpus should contain threshold states (near-balanced)"
-    report = verify_lemma_suite(cases)
-    assert report.passed
-    # No non-equilibrium state, hence no psi1 floor instances.
-    assert not any(c.lemma == "psi1-drop-floor" for c in report.checks)
+    # The corpus holds threshold states too, where every drop lower bound is
+    # vacuous; the psi1 floor is checked on exactly the unit-task cases off
+    # equilibrium.
+    nash = {c.name for c in cases if is_nash(c.graph, c.speeds, c.state)}
+    assert nash
+    off_unit = [c.name for c in cases if c.state.mode == "uniform" and c.name not in nash]
+    assert len(off_unit) == 35
+    assert [c.case for c in report.checks if c.lemma == "psi1-drop-floor"] == off_unit
 
 
 def test_corpus_shape():

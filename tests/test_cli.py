@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,14 @@ def test_config_round_trip(tmp_path):
     assert parse_config("".join(f"{k} = {v}\n" for k, v in block.items())) == cfg
 
 
+def test_readme_lists_every_config_key():
+    # The README's key table names every key of CONFIG_KEYS, once each, in
+    # field order, and nothing else.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", readme, flags=re.MULTILINE)
+    assert rows == list(CONFIG_KEYS)
+
+
 def test_approx_ne_eps_is_read_as_a_decimal(tmp_path):
     # protocol.eps = 0.7 is the rational 7/10, not the binary float nearest
     # it: both spellings run and echo the same. (3/10)*10 - 2 = 1/s_j exactly,
@@ -100,6 +109,7 @@ def test_config_errors(tmp_path, capsys):
     k2 = "graph.family = complete\ngraph.n = 2\n"
     run = "run.stop = fixed-rounds\nrun.rounds = 1\nrun.master_seed = 1\n"
     for extra in ("speeds.mode = explicit\nspeeds.values = 1,x\ntasks.count = 4\n",
+                  "speeds.mode = explicit\nspeeds.values = 1,,1\ntasks.count = 4\n",
                   "speeds.mode = explicit\nspeeds.values = 1,1/0\ntasks.count = 4\n",
                   "tasks.count = -3\ntasks.placement = random\n",
                   "tasks.mode = weighted-random\ntasks.count = -2\n"):
@@ -111,11 +121,12 @@ def test_config_errors(tmp_path, capsys):
                                 f"{edge_list}\ntasks.count = 4\n" + run)
         assert main(["run", str(cfg_path)]) == EXIT_CONFIG, edge_list
     for argv in (["--n", "2", "--speeds", "1,x"],
+                 ["--n", "2", "--speeds", "1,,2"],
                  ["--edge-list", str(tmp_path / "bad_edges.txt")],
                  ["--edge-list", str(tmp_path / "missing.txt")],
                  ["--edge-list", str(tmp_path / "binary_edges.txt")]):
         assert main(["spectra", *argv]) == EXIT_CONFIG, argv
-    assert capsys.readouterr().err.count("configuration error") == 11
+    assert capsys.readouterr().err.count("configuration error") == 13
 
 
 def test_render_json_formatting():
@@ -223,45 +234,32 @@ def test_cmd_verify_default(tmp_path, capsys):
     assert all(c["passed"] for c in payload["checks"])
 
 
-def test_cmd_verify_nash_only(tmp_path):
-    report = tmp_path / "report.json"
-    assert main(["verify", "--corpus", "nash-only", "--report", str(report)]) == EXIT_OK
-    payload = json.loads(report.read_text())
-    assert payload["passed"] is True
-    assert not any(c["lemma"] == "psi1-drop-floor" for c in payload["checks"])
-
-
 def test_cmd_verify_rejects_alpha_flag(tmp_path):
     # The suite's bounds hold at alpha = 4*s_max, so verify takes no alpha:
-    # the flag is a usage error (exit 2) and no report is written.
+    # the flag is a usage error (exit 2) and no report is written. So are
+    # the retired --tol and --corpus, even with their old defaults: verify
+    # takes --report alone.
     report = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--alpha", "8", "--report", str(report)])
-    assert exc.value.code == 2
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_cmd_verify_rejects_bad_tolerance(tmp_path, capsys, tol):
-    # A NaN or infinite slack turns identity checks into NaN and a negative
-    # one fails exact checks: a usage error, not a lemma failure.
-    report = tmp_path / "report.json"
-    assert main(["verify", f"--tol={tol}", "--report", str(report)]) == EXIT_CONFIG
-    assert not report.exists()
-    assert "tol must be" in capsys.readouterr().err
+    for flag in (["--alpha", "8"], ["--tol", "1e-9"], ["--corpus", "default"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flag, "--report", str(report)])
+        assert exc.value.code == 2, flag
+        assert not report.exists(), flag
 
 
 @pytest.mark.parametrize("line, message", [
     ("protocol.variant = algorithm1", "unknown key 'protocol.variant'"),
     ("protocol.printed_rule = false", "unknown key 'protocol.printed_rule'"),
-    ("protocol.psi_constant = 12", "psi_c constant must be 8 or 16"),
+    ("protocol.psi_constant = 8", "unknown key 'protocol.psi_constant'"),
+    ("tasks.seed = 7", "unknown key 'tasks.seed'"),
     ("protocol.eps = 2", "eps must lie in (0, 1)"),
-], ids=["variant", "printed_rule", "psi_constant", "exact_ne_eps"])
+], ids=["variant", "printed_rule", "psi_constant", "tasks_seed", "exact_ne_eps"])
 def test_protocol_variant_key_is_unknown(tmp_path, capsys, line, message):
-    # Retired keys: the tasks decide the algorithm, and Algorithm 2 has one
-    # migration rule. Even a retired key's old default is refused. Like them,
-    # values caught only after parsing (psi_c's constant when psi_c is
-    # computed, eps under exact-ne at round 0) write no output directory.
+    # Retired keys: the tasks decide the algorithm, Algorithm 2 has one
+    # migration rule, psi_c = 8*n*Delta*s_max/lambda2, and random weights
+    # always draw from the master seed's weights stream. Even a retired
+    # key's old default is refused. Like them, a value caught only after
+    # parsing (eps under exact-ne at round 0) writes no output directory.
     text = BASIC_CONFIG + line + "\n"
     assert main(["run", str(write_config(tmp_path, text))]) == EXIT_CONFIG
     assert message in capsys.readouterr().err

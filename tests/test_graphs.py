@@ -101,11 +101,12 @@ def test_pair_degree():
         assert len(ev.dij) == 2 * g.edge_count
         for i, j in g.directed_edges():
             assert pair_degree(g, i, j) == max(g.degrees[i], g.degrees[j])
-        # src, dst and the CSR offsets follow `neighbors`.
+        # src and dst follow `neighbors`: node i's out-edges are the slice
+        # between the degree sums before and through i.
         assert ev.deg.tolist() == list(g.degrees)
-        assert ev.ptr[0] == 0 and np.diff(ev.ptr).tolist() == list(g.degrees)
+        ptr = np.concatenate([[0], np.cumsum(g.degrees)])
         for i in range(g.node_count):
-            out = slice(ev.ptr[i], ev.ptr[i + 1])
+            out = slice(ptr[i], ptr[i + 1])
             assert (ev.src[out] == i).all()
             assert tuple(ev.dst[out].tolist()) == g.neighbors[i]
         # The degree classes partition the nodes, ascending, each with the
@@ -159,6 +160,18 @@ def test_disconnected_explicit_rejected():
         make_graph("explicit", n=4, edges=[(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         make_graph("explicit", n=3, edges=[(0, 1)])
+
+
+def test_too_few_edges_rejected_before_building():
+    # n nodes need n - 1 distinct edges to be connected. A shorter list is
+    # refused with both counts before anything of size n is built, so a huge
+    # n in a two-line file fails at once. The 2*10^6 case comes first: a build
+    # that allocated per node would fail there, in about a second, and never
+    # reach 10^9.
+    for n in (2 * 10**6, 10**9):
+        with pytest.raises(DisconnectedGraphError,
+                           match=f"{n} nodes need at least {n - 1} edges, got 1$"):
+            parse_edge_list(f"{n}\n0 1\n1 0\n")
 
 
 def test_edge_list_parsing():

@@ -185,9 +185,6 @@ def test_critical_value_examples():
     assert critical_value(K2, UNI2) == pytest.approx(8.0, abs=1e-10)
     sp2 = SpeedProfile.from_rationals([1, 2])
     assert critical_value(K2, sp2) == pytest.approx(16.0, abs=1e-10)
-    assert critical_value(K2, UNI2, constant=16) == pytest.approx(16.0, abs=1e-10)
-    with pytest.raises(Exception):
-        critical_value(K2, UNI2, constant=12)
 
 
 def test_gamma_factor():
