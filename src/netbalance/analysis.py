@@ -181,6 +181,7 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
         trig = observe(rounds_done)
     truncated = running
 
+    state.check_node_units()
     final = snapshot(g, sp, state, executed)
     values = [final.phi0.tolist(), final.phi1.tolist(), final.psi0.tolist(),
               final.psi1.tolist(), final.l_delta.tolist()]

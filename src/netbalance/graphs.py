@@ -68,14 +68,24 @@ class GraphTopology:
     neighbors: tuple[tuple[int, ...], ...]    # sorted adjacency lists
     degrees: tuple[int, ...]
     max_degree: int
-    diameter: int
-    # Closed-form algebraic connectivity of a family graph, None for explicit
-    # graphs. Derived from the edges, so it takes no part in equality.
+    # Closed-form diameter and algebraic connectivity of a family graph, None
+    # for explicit graphs. Derived from the edges, so they take no part in
+    # equality.
+    closed_diameter: int | None = field(default=None, compare=False)
     lambda2: float | None = field(default=None, compare=False)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def diameter(self) -> int:
+        """The closed form, or for an explicit graph the largest BFS distance
+        from any node, found on first read: O(n*(n + m)), so a graph that is
+        only built, or refused later, never pays it."""
+        if self.closed_diameter is not None:
+            return self.closed_diameter
+        return max(max(bfs_distances(self.neighbors, s)) for s in range(self.node_count))
 
     def directed_edges(self):
         """Yield both orientations of every edge."""
@@ -137,32 +147,20 @@ def _build(n: int, edge_set: set[tuple[int, int]], diameter: int | None,
     if min(degrees) == 0:
         raise DisconnectedGraphError("graph has an isolated node")
 
-    probe = None
-    if diameter is None:
-        # Explicit graphs: BFS from every node gives the diameter and doubles
-        # as the connectivity check.
-        ecc = []
-        for s in range(n):
-            dist = bfs_distances(neighbors, s)
-            if min(dist) < 0:
-                raise DisconnectedGraphError(
-                    f"graph is not connected (node {dist.index(-1)} unreachable from {s})"
-                )
-            ecc.append(max(dist))
-        diameter = max(ecc)
-    else:
-        probe = bfs_distances(neighbors, 0)
-        if min(probe) < 0:
-            raise DisconnectedGraphError(
-                f"graph is not connected (node {probe.index(-1)} unreachable from 0)"
-            )
+    # One BFS checks connectivity; an explicit graph's diameter waits for its
+    # first read (`GraphTopology.diameter`).
+    dist = bfs_distances(neighbors, 0)
+    if min(dist) < 0:
+        raise DisconnectedGraphError(
+            f"graph is not connected (node {dist.index(-1)} unreachable from 0)"
+        )
     return GraphTopology(
         node_count=n,
         edges=edges,
         neighbors=neighbors,
         degrees=degrees,
         max_degree=max(degrees),
-        diameter=diameter,
+        closed_diameter=diameter,
         lambda2=lambda2,
     )
 
@@ -175,7 +173,7 @@ def make_graph(family: str, *, n: int | None = None, rows: int | None = None,
     Families: complete(n), cycle(n>=3), path(n>=2), torus2d(rows, cols, both >=2),
     grid2d(rows, cols), hypercube(dim>=1), explicit(n, edges).
     Family generators set the closed-form diameter and lambda2; explicit graphs
-    get a BFS diameter and no lambda2.
+    get a BFS diameter, computed when first read, and no lambda2.
     """
     if family == "complete":
         _need(n is not None and n >= 2, f"complete graph needs n >= 2, got {n}")

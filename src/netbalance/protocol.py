@@ -13,7 +13,9 @@ A state is a per-node task count plus, for weighted tasks, a task buffer:
 one int64 array of per-node blocks with slack, laid out in node order and
 delimited by one offsets array (`TaskBuffer`), so a round writes only the
 slots its movers touch. A weight is a whole number of units of 1/WEIGHT_UNITS,
-so W_i is the exact integer sum of node i's block. A task's migration
+so W_i is the exact integer sum of node i's block. A round carries W_i: the
+state it returns holds the old W_i minus the units that left node i plus the
+units that arrived, so no round re-sums the buffer. A task's migration
 probability depends only on its edge and the round-start loads, never on its
 own weight, so the tasks on a node are exchangeable and every round draws
 counts first: one multinomial row over (move-to-neighbor..., stay) per node,
@@ -161,6 +163,12 @@ class TaskBuffer:
         an empty node, so the exact W_i in units on the store. The bounds
         interleave each block's start with the end of its tasks, so the slack
         tails are summed too and dropped.
+
+        A pass over the whole buffer, so rounds never make it: W_i is summed
+        here for a state that no round made (ingested, stacked, a row, read
+        from a payload) and once at the end of a run to check the W_i the
+        rounds carried (`LoadState.check_node_units`); Σu² for the oracles
+        (`node_square_units`) is always summed here.
         """
         bounds = np.empty(2 * len(counts), dtype=np.int64)
         bounds[0::2] = self.offsets[:-1]
@@ -183,7 +191,9 @@ class LoadState:
     None for unit tasks. They are built on first use; rounds never read them,
     and slack never shows in them, in `rows`, `to_payload` or `==`. A unit
     task is one unit of 1 (`quantum`), so `node_units` is counts[i] or the
-    exact sum of node i's units. Every array is read-only; equality is by value.
+    exact sum of node i's units: carried by the round that made the state,
+    or else summed over its buffer once, on first use. Every array is
+    read-only; equality is by value.
 
     A weighted state is a value even though rounds write its buffer's array
     in place (`TaskBuffer`): a state that a round has stepped keeps an undo
@@ -307,16 +317,45 @@ class LoadState:
     def task_count(self) -> int:
         return int(self.counts.sum())
 
+    @classmethod
+    def _carrying(cls, counts: np.ndarray, tasks: TaskBuffer, units: np.ndarray) -> "LoadState":
+        """A weighted state stepped by a round, which hands on its exact W_i
+        in units (`_move_tasks`), so that nothing re-sums its buffer."""
+        state = cls(counts, tasks)
+        state.__dict__["_node_sums"] = (_read_only(units), _read_only(units / WEIGHT_UNITS))
+        return state
+
+    def _resummed_units(self) -> np.ndarray:
+        return self.tasks.sums(self.counts.ravel(), self.tasks.values).reshape(self.counts.shape)
+
     @cached_property
     def _node_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        units = self.counts if self.tasks is None else _read_only(
-            self.tasks.sums(self.counts.ravel(), self.tasks.values).reshape(self.counts.shape))
+        units = self.counts if self.tasks is None else _read_only(self._resummed_units())
         return units, _read_only(units / self.quantum)
 
     def node_units(self) -> np.ndarray:
         """W_i in units per node as a read-only int64 array shaped like counts:
-        the counts, or the exact sum of each node's weight units."""
+        the counts, or the exact sum of each node's weight units.
+
+        A state that `RoundKernel.step` returns holds the W_i the round
+        carried; any other weighted state (ingested, stacked, a row of a
+        stack, rebuilt from a payload) re-sums its buffer once, on first use.
+        """
         return self._node_sums[0]
+
+    def check_node_units(self) -> None:
+        """Re-sum W_i over the task buffer; a disagreement with the W_i the
+        state holds is an implementation bug, raised as an internal
+        RuntimeError."""
+        if self.tasks is None:
+            return
+        resummed, held = self._resummed_units(), self.node_units()
+        bad = np.flatnonzero(resummed != held)
+        if bad.size:
+            k = bad[0]
+            raise RuntimeError(
+                f"internal error: carried W_i disagrees with its re-sum at flat node {k} "
+                f"({held.ravel()[k]} vs {resummed.ravel()[k]})")
 
     def node_square_units(self) -> list[int]:
         """sum(u^2) in units^2 per flat node, as exact Python ints: the counts
@@ -421,7 +460,7 @@ def triggers(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     a, b = eps.numerator, eps.denominator
     w, mult, q = state.node_units(), sp.int_multipliers, state.quantum
     if w.size:
-        units, mult_bound = max(int(w.max()), q), int(mult.max()) + 1
+        units, mult_bound = max(int(w.max()), q), sp.max_multiplier + 1
         if b * units * mult_bound >= _INT_GUARD:
             raise ConfigError(
                 "exact 64-bit comparisons need b*max(max w_i, Q)*(max n_i + 1) < 2^62, "
@@ -493,9 +532,13 @@ class RoundKernel:
         new_counts = counts.copy()
         np.add.at(new_counts, ev.dst, moved)
         np.subtract.at(new_counts, ev.src, moved)
-        tasks = None if state.tasks is None else \
-            _move_tasks(ev, counts, state.tasks, new_counts, moved, gen)
-        new = LoadState(new_counts.reshape(state.counts.shape), tasks)
+        shape = state.counts.shape
+        if state.tasks is None:
+            new = LoadState(new_counts.reshape(shape))
+        else:
+            tasks, units = _move_tasks(ev, counts, state.tasks, new_counts, moved,
+                                       state.node_units().ravel(), gen)
+            new = LoadState._carrying(new_counts.reshape(shape), tasks, units.reshape(shape))
         return new, moved.reshape(*rows, -1).sum(axis=-1) if rows else total
 
 
@@ -585,11 +628,16 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
     """
     task = first + gen.integers(0, size)
     while True:
-        held, kept = np.unique(task, return_index=True)   # the first holder keeps a task
-        if len(held) == len(task):
+        order = np.argsort(task, kind="stable")     # the first holder of a task sorts first
+        ranked = task[order]
+        keeps = np.empty(len(task), dtype=bool)
+        keeps[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=keeps[1:])
+        if keeps.all():
             return task
+        held = ranked[keeps]
         redraw = np.ones(len(task), dtype=bool)
-        redraw[kept] = False
+        redraw[order[keeps]] = False
         lo = first[redraw]
         held_before = np.searchsorted(held, lo)
         held_in = np.searchsorted(held, lo + size[redraw]) - held_before
@@ -598,14 +646,23 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
         task[redraw] = rank + np.searchsorted(held - np.arange(len(held)), rank, "right")
 
 
-def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, gen) -> TaskBuffer:
-    """The task buffer after the round.
+def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, units,
+                gen) -> tuple[TaskBuffer, np.ndarray]:
+    """The task buffer after the round, and its W_i in units per flat node.
 
     A node's first c_e1 movers take its first out-edge, the next c_e2 the
     second, and so on. Each node fills the holes its movers leave below its
     kept count by swap-with-last, lowest hole first: the lowest hole takes the
     last task that stays, the next hole the last of the rest, and so on.
-    Arrivals follow the kept tasks in (source node, slot) order.
+    Arrivals follow the kept tasks in (source node, slot) order. A slot lies
+    in its node's block and the blocks lie in node order, so sorting slots
+    sorts by node too: the holes are one sort, and the arrivals one sort on
+    destination * len(store) + slot.
+
+    W_i is carried, not re-summed: units is the round-start W_i, and the new
+    one is units minus each source's leavers' units plus each destination's
+    arrivals' units, one exact int64 `np.add.reduceat` each over the movers
+    (already grouped by source, and by destination once sorted).
 
     When every block fits its new count, the round writes the old buffer's
     store in place: it gathers the fillers and the arrivals first, then
@@ -627,23 +684,30 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
     src, dst = ev.src[edge], ev.dst[edge]
     pos = _mover_tasks(start[src], counts[src], gen)
     left = np.bincount(src, minlength=len(counts))
+    first_left = left.cumsum() - left
     kept = counts - left
-    # Per node, the holes below the kept count pair with the tasks at or above
-    # it that stay, both taken in descending node order: holes lowest first,
-    # staying tasks last first.
+    # Per node, the holes below the kept count (lowest first) pair with the
+    # tasks at or above it that stay (last first).
     top = start + kept
     low = pos < top[src]
-    by_node = np.lexsort((pos[low], -src[low]))
-    holes, hole_node = pos[low][by_node], src[low][by_node]
+    holes, hole_node = np.sort(pos[low]), src[low]
     tail = _block_slots(top[left > 0], left[left > 0])     # each node's slots from `top` up
     leaves = np.zeros(len(tail), dtype=bool)
-    leaves[(left.cumsum() - left - top)[src[~low]] + pos[~low]] = True
-    fillers = tail[~leaves][::-1]
-    order = np.lexsort((pos, src, dst))                 # (destination, source, slot)
+    leaves[(first_left - top)[src[~low]] + pos[~low]] = True
+    staying = tail[~leaves]                              # by node, each node's slots ascending
+    per_node = np.bincount(hole_node, minlength=len(counts))
+    ends = per_node.cumsum()
+    fillers = staying[np.repeat(2 * ends - per_node - 1, per_node) - np.arange(len(staying))]
+    order = np.argsort(dst * len(values) + pos)         # (destination, source, slot)
     arrive = dst[order]
     arrivals = np.bincount(arrive, minlength=len(counts))
-    rank = np.arange(len(arrive)) - (arrivals.cumsum() - arrivals)[arrive]
-    incoming = np.concatenate((values[fillers], values[pos[order]]))
+    first_arrival = arrivals.cumsum() - arrivals
+    rank = np.arange(len(arrive)) - first_arrival[arrive]
+    leaving = values[pos]
+    incoming = np.concatenate((values[fillers], leaving[order]))
+    units = units.copy()
+    units[left > 0] -= np.add.reduceat(leaving, first_left[left > 0])
+    units[arrivals > 0] += np.add.reduceat(incoming[len(fillers):], first_arrival[arrivals > 0])
 
     if (new_counts <= np.diff(offsets)).all():
         out = values
@@ -658,7 +722,7 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, ge
     slots = np.concatenate((holes, offsets[:-1][arrive] + kept[arrive] + rank))
     version = tasks._version.hand_on(slots, values[slots]) if out is values else _Version(out)
     out[slots] = incoming
-    return TaskBuffer(version, offsets)
+    return TaskBuffer(version, offsets), units
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ class SpeedProfile:
 
     @cached_property
     def s_max(self) -> Fraction:
-        return self.granularity * max(self.multipliers)
+        return self.granularity * self.max_multiplier
 
     @cached_property
     def arithmetic_mean(self) -> Fraction:
@@ -157,9 +157,13 @@ class SpeedProfile:
         return self._granularity_pair[1]
 
     @cached_property
+    def max_multiplier(self) -> int:
+        return max(self.multipliers)
+
+    @cached_property
     def int_multipliers(self) -> np.ndarray:
         """The multipliers as int64, for exact unit-task load comparisons."""
-        if max(self.multipliers) >= 1 << 63:
+        if self.max_multiplier >= 1 << 63:
             raise ConfigError("speed multipliers too large for 64-bit integers")
         arr = np.array(self.multipliers, dtype=np.int64)
         arr.setflags(write=False)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netbalance import graphs, spectral
+from netbalance.cli import EXIT_CONFIG, main as cli_main
 from netbalance.errors import ConfigError, DisconnectedGraphError
 from netbalance.graphs import (
     GraphTopology,
@@ -83,6 +85,34 @@ def test_diameter_closed_forms():
         assert make_graph("cycle", n=n).diameter == n // 2
     for d in (1, 2, 5):
         assert make_graph("hypercube", dim=d).diameter == d
+
+
+def test_building_a_graph_makes_one_bfs(monkeypatch, tmp_path):
+    # A build checks connectivity with one BFS. An explicit graph's
+    # all-pairs diameter waits for its first read and is kept, so a graph
+    # that the dense-solve limit refuses never pays for it.
+    real, sources = graphs.bfs_distances, []
+
+    def counted(neighbors, source):
+        sources.append(source)
+        return real(neighbors, source)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counted)
+    for family, kwargs in (("cycle", {"n": 9}), ("torus2d", {"rows": 3, "cols": 4}),
+                           ("hypercube", {"dim": 3})):
+        family_graph = make_graph(family, **kwargs)
+        explicit = make_graph("explicit", n=family_graph.node_count, edges=family_graph.edges)
+        assert sources == [0, 0]
+        assert explicit == family_graph and sources == [0, 0]
+        assert explicit.diameter == family_graph.diameter == helpers.diameter_oracle(explicit)
+        assert len(sources) == 2 + explicit.node_count
+        assert explicit.diameter == family_graph.diameter
+        assert len(sources) == 2 + explicit.node_count
+        sources.clear()
+    monkeypatch.setattr(spectral, "DENSE_SOLVE_MAX_NODES", 8)
+    (tmp_path / "path.txt").write_text("9\n" + "".join(f"{u} {u + 1}\n" for u in range(8)))
+    assert cli_main(["spectra", "--edge-list", str(tmp_path / "path.txt")]) == EXIT_CONFIG
+    assert sources == [0]
 
 
 def test_pair_degree():

@@ -376,6 +376,38 @@ def test_slack_blocks_move_and_pack():
     assert packed >= 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(stacks(modes=("weighted",)), st.booleans(), st.booleans(), seeds,
+       st.sampled_from((Fraction(1, 16), Fraction(1, 4), 1)),
+       st.lists(st.booleans(), min_size=5, max_size=5))
+@example((GRAPHS[2], SpeedProfile.from_rationals([1, 2, 1, 2]),
+          [LoadState.weighted([[0.25, 1.0, 0.5, 0.75, 0.125]] * 4)] * 3),
+         False, True, 7, Fraction(1, 16), [False, True, False, False, False])
+def test_carried_node_units_match_a_re_sum(inst, bare, all_on_one, seed, alpha_factor,
+                                           held_bits):
+    # A round carries W_i in units (old W_i - leavers + arrivals). After every
+    # round it must equal a re-sum of the buffer and, row by row, of the
+    # row's payload, through in-place rounds, packs (all-on-one starts below
+    # the alpha floor) and held rows.
+    g, sp, states = inst
+    if all_on_one:
+        states = [LoadState.weighted([list(s.weights)] + [[]] * (g.node_count - 1))
+                  for s in states]
+    state = states[0] if bare else LoadState.stack(states)
+    kernel = RoundKernel(g, sp, ProtocolParams(rng_seed=seed, alpha=4 * sp.s_max * alpha_factor))
+    for r in range(12):
+        trig = triggers(g, sp, state)
+        if not bare:
+            trig[np.array(held_bits[:len(states)])] = False
+        state, _ = kernel.step(state, r, trig)
+        carried = state.node_units()
+        resummed = state.tasks.sums(state.counts.ravel(), state.tasks.values)
+        assert carried.ravel().tolist() == resummed.tolist()
+        rows = state.rows() if state.stacked else [state]
+        for row, units in zip(rows, carried.reshape(-1, g.node_count).tolist()):
+            assert LoadState.from_payload(row.to_payload()).node_units().tolist() == units
+
+
 def read_state(state):
     """What a state reads as: counts, weights, W_i and every row's weights, W_i
     and payload, read through a fresh alias so that no cached `weights` or W_i

@@ -15,6 +15,7 @@ from netbalance.protocol import (
     LoadState,
     ProtocolParams,
     RoundKernel,
+    TaskBuffer,
     all_on_one_state,
     default_alpha,
     exact_ne_alpha,
@@ -309,6 +310,38 @@ def test_small_blocks_rarely_pack():
         stack, _ = kernel.step(stack, r, triggers(g, sp, stack))
         packs.append(not np.shares_memory(stack.tasks.values, values))
     assert packs[0] and sum(packs[1:]) <= 3
+
+
+def test_rounds_carry_node_units_without_a_re_sum(monkeypatch):
+    # A round carries W_i (old W_i - leavers + arrivals), so 50 rounds of
+    # triggers and step on a weighted 8-row stack re-sum no task buffer,
+    # whether a round writes the buffer in place or packs it. The check that
+    # ends a run re-sums once, and a carried W_i that disagrees is an
+    # internal error.
+    g = make_graph("cycle", n=8)
+    sp = SpeedProfile.from_rationals([1, Fraction(3, 2), 1, 2] * 2)
+    stack = LoadState.stack(weighted_all_on_one(random_task_weights(300, t), 8)
+                            for t in range(8))
+    stack.node_units()          # an ingested stack sums its buffer once, on first use
+    real, calls = TaskBuffer.sums, []
+
+    def counted(self, counts, values):
+        calls.append(len(counts))
+        return real(self, counts, values)
+
+    monkeypatch.setattr(TaskBuffer, "sums", counted)
+    kernel = RoundKernel(g, sp, params(seed=4))
+    moved = 0
+    for r in range(50):
+        stack, moves = kernel.step(stack, r, triggers(g, sp, stack))
+        moved += int(moves.sum())
+    assert calls == [] and moved > 0
+    stack.check_node_units()
+    assert calls == [stack.counts.size]
+    wrong = stack.node_units().copy()
+    wrong[3, 5] += 1
+    with pytest.raises(RuntimeError, match="carried W_i disagrees"):
+        LoadState._carrying(stack.counts, stack.tasks, wrong).check_node_units()
 
 
 def test_block_sums_of_empty_nodes_rows_and_states():
