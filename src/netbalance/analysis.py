@@ -13,10 +13,9 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +77,37 @@ class StopRule:
             raise ConfigError("fixed-rounds stop needs a non-negative round count")
 
 
+class Trace(NamedTuple):
+    """One trial's trace: one read-only array per CSV column, one entry per
+    round 0..rounds_executed. psi0, psi1 and l_delta are the round's
+    `snapshot` values, max_load and min_load its extreme node loads, moves
+    the tasks the round moved (0 at round 0). Equality is by value."""
+
+    round: np.ndarray
+    psi0: np.ndarray
+    psi1: np.ndarray
+    l_delta: np.ndarray
+    max_load: np.ndarray
+    min_load: np.ndarray
+    moves: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, Trace) and all(map(np.array_equal, self, other))
+
+    def __ne__(self, other):
+        return not self == other
+
+
+#: The trace CSV's header and row template, one `%` field per `Trace` column;
+#: '%.17g' % x gives the bytes of format(x, '.17g').
+TRACE_HEADER = Trace._fields
+TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+
+
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's hits, end state and, when collected, its `Trace`."""
+
     trial_id: int
     seed: int
     rounds_to_psi_threshold: int | None
@@ -89,11 +117,7 @@ class TrialResult:
     truncated: bool
     rounds_executed: int
     final_state: LoadState
-    trace: tuple | None = None
-
-
-#: Per-round trace row used by the CLI: matches the documented CSV schema.
-TRACE_HEADER = ("round", "psi0", "psi1", "l_delta", "max_load", "min_load", "moves")
+    trace: Trace | None = None
 
 
 def run_trial(g: GraphTopology, sp: SpeedProfile, init_state: LoadState,
@@ -120,6 +144,12 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     from then on its triggers are masked off, so it draws nothing and never
     changes again. Hits, rounds, trace and final snapshot are per row.
 
+    With collect_trace, each round records three arrays for the rows still
+    running: their ids, one (k, 5) float block (psi0, psi1, l_delta,
+    max_load, min_load) and their moves; a retired row records nothing. At
+    the end one stable sort by row id groups the records per trial, in round
+    order, into each trial's `Trace`.
+
     psi_threshold defaults to 4*psi_c. approx_eps (exact, as `StopRule.eps`)
     lets callers track epsilon-equilibrium hits under a different stop rule.
     Its `triggers` mask is a subset of the plain one, so an exact hit is an
@@ -141,7 +171,7 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     running = np.ones(trials, dtype=bool)
     executed = np.zeros(trials, dtype=np.int64)
     moves = np.zeros(trials, dtype=np.int64)
-    traces = [[] for _ in range(trials)] if collect_trace else None
+    recorded = []       # per round: (running rows, their (k, 5) values, their moves)
     stop_hits = {"psi-threshold": hit_psi, "approx-ne": hit_approx,
                  "exact-ne": hit_exact}.get(stop.kind)     # None: fixed-rounds
 
@@ -159,12 +189,10 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
         if collect_trace:
             snap = snapshot(g, sp, state, round_index)
             loads = state.loads(sp)
-            columns = zip(snap.psi0.tolist(), snap.psi1.tolist(), snap.l_delta.tolist(),
-                          loads.max(axis=1).tolist(), loads.min(axis=1).tolist(),
-                          moves.tolist())
-            for t, row in zip(np.flatnonzero(running).tolist(),
-                              itertools.compress(columns, running)):
-                traces[t].append((round_index, *row))
+            ids = np.flatnonzero(running)
+            block = np.stack((snap.psi0, snap.psi1, snap.l_delta,
+                              loads.max(axis=1), loads.min(axis=1)), axis=1)
+            recorded.append((ids, block[ids], moves[ids]))
         if stop_hits is not None:
             running[stop_hits != none] = False
         elif round_index >= stop.rounds:
@@ -186,6 +214,20 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
     values = [final.phi0.tolist(), final.phi1.tolist(), final.psi0.tolist(),
               final.psi1.tolist(), final.l_delta.tolist()]
 
+    traces = [None] * trials
+    if collect_trace:
+        ids, block, moved = (np.concatenate(parts) for parts in zip(*recorded))
+        order = np.argsort(ids, kind="stable")
+        sizes = executed + 1
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        columns = (np.arange(ends[-1]) - np.repeat(starts, sizes),
+                   *block[order].T, moved[order])
+        for column in columns:
+            column.setflags(write=False)
+        traces = [Trace(*(column[lo:hi] for column in columns))
+                  for lo, hi in zip(starts.tolist(), ends.tolist())]
+
     def hit(rounds) -> int | None:
         return None if rounds == none else int(rounds)
 
@@ -200,7 +242,7 @@ def _run_rows(g: GraphTopology, sp: SpeedProfile, state: LoadState,
             truncated=bool(truncated[t]),
             rounds_executed=int(executed[t]),
             final_state=row,
-            trace=tuple(traces[t]) if collect_trace else None,
+            trace=traces[t],
         )
         for t, row in enumerate(state.rows())
     ]

@@ -354,22 +354,19 @@ def cmd_run(config_path, out_dir_override=None) -> int:
     out_dir = Path(out_dir_override) if out_dir_override else base / cfg.output_directory
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.output_trace:
+        header = ",".join(analysis.TRACE_HEADER)
         for res in summary.results:
-            path = out_dir / f"trace_{res.trial_id}.csv"
-            lines = [",".join(analysis.TRACE_HEADER)]
-            for row in res.trace:
-                rnd, psi0, psi1, l_delta, max_load, min_load, moves = row
-                lines.append(",".join([
-                    str(rnd), fmt17(psi0), fmt17(psi1), fmt17(l_delta),
-                    fmt17(max_load), fmt17(min_load), str(moves)]))
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            rows = zip(*(column.tolist() for column in res.trace))
+            lines = [header, *(analysis.TRACE_ROW % row for row in rows)]
+            (out_dir / f"trace_{res.trial_id}.csv").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     payload = {
         "config": {k: CONFIG_KEYS[k][2](getattr(cfg, CONFIG_KEYS[k][0]))
                    for k in CONFIG_KEYS if getattr(cfg, CONFIG_KEYS[k][0]) is not None},
         "graph": {
             "family": cfg.graph_family, "n": g.node_count, "edges": g.edge_count,
-            "max_degree": g.max_degree, "diameter": g.diameter,
+            "max_degree": g.max_degree,
         },
         "speeds": {
             "values": [str(s) for s in sp.speeds],

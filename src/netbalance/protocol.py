@@ -74,6 +74,9 @@ MODE_WEIGHTED = "weighted"
 _INT_GUARD = 1 << 62
 #: Weighted tasks hold whole units of 1/WEIGHT_UNITS: W_i is an exact integer.
 WEIGHT_UNITS = 1 << 27
+#: Most slots of a task store, so that a round's one-key mover sorts
+#: (slot * movers + k in `_mover_tasks`) stay below 2^62 in int64.
+MAX_STORE_SLOTS = 1 << 31
 
 
 class _Version:
@@ -155,6 +158,7 @@ class TaskBuffer:
         """Gap-free int64 weight units grouped by flat node, each block exactly full."""
         if len(units) != counts.sum():
             raise ConfigError("weighted state needs one weight per task")
+        _check_store_size(len(units) + 1)
         return cls(_Version(np.append(units, 0)), _offsets(counts))   # plus the spare slot
 
     def sums(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -628,7 +632,9 @@ def _mover_tasks(first, size, gen) -> np.ndarray:
     """
     task = first + gen.integers(0, size)
     while True:
-        order = np.argsort(task, kind="stable")     # the first holder of a task sorts first
+        # One unique key per mover, so the default sort is stable: the first
+        # holder of a task sorts first.
+        order = np.argsort(task * len(task) + np.arange(len(task)))
         ranked = task[order]
         keeps = np.empty(len(task), dtype=bool)
         keeps[0] = True
@@ -713,6 +719,7 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, un
         out = values
     else:
         offsets = _offsets(new_counts + new_counts // 4 + 4)
+        _check_store_size(int(offsets[-1]) + 1)
         out = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
         copied = kept > 0              # slice by slice: no task-sized index arrays
         for new, old, size in zip(offsets[:-1][copied].tolist(), start[copied].tolist(),
@@ -723,6 +730,12 @@ def _move_tasks(ev: EdgeArrays, counts, tasks: TaskBuffer, new_counts, moved, un
     version = tasks._version.hand_on(slots, values[slots]) if out is values else _Version(out)
     out[slots] = incoming
     return TaskBuffer(version, offsets), units
+
+
+def _check_store_size(slots: int) -> None:
+    if slots > MAX_STORE_SLOTS:
+        raise ConfigError(f"a task store of {slots} slots exceeds the limit of "
+                          f"{MAX_STORE_SLOTS}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -70,9 +70,8 @@ def test_run_trial_fixed_rounds_and_trace():
                     StopRule("fixed-rounds", rounds=5), round_cap=100,
                     collect_trace=True)
     assert res.rounds_executed == 5
-    assert len(res.trace) == 6  # rounds 0..5 inclusive
-    first = res.trace[0]
-    assert first[0] == 0 and first[1] == pytest.approx(8.0)  # psi0 of (4,0)
+    assert res.trace.round.tolist() == [0, 1, 2, 3, 4, 5]  # rounds 0..5 inclusive
+    assert res.trace.psi0[0] == pytest.approx(8.0)  # psi0 of (4,0)
     assert hitting_rounds(res, StopRule("fixed-rounds", rounds=5)) == 5
 
 
@@ -167,9 +166,55 @@ def test_trials_are_the_rows_of_one_stack(weighted, kind):
         else:
             assert res.final_snapshot.psi0 <= 4.0
         assert res.final_snapshot == snapshot(g, sp, res.final_state, res.rounds_executed)
-        assert [row[0] for row in res.trace] == list(range(res.rounds_executed + 1))
-        assert res.trace[0][1] == psi0_value(sp, start)
-        assert res.trace[-1][1] == res.final_snapshot.psi0
+        assert res.trace.round.tolist() == list(range(res.rounds_executed + 1))
+        assert res.trace.psi0[0] == psi0_value(sp, start)
+        assert res.trace.psi0[-1] == res.final_snapshot.psi0
+
+
+@pytest.mark.parametrize("round_cap", (5000, 30))
+@pytest.mark.parametrize("weighted", (False, True))
+def test_trace_records_every_running_round_once(weighted, round_cap):
+    # Rows stop at different rounds (at round_cap 30 some are truncated and
+    # some have stopped). Each trial's trace covers rounds 0..rounds_executed,
+    # starts at its start state and ends at its final state; an idle round
+    # repeats the previous values exactly, and the record behind the traces
+    # holds one row per (trial, round), with no padding for retired rows.
+    from netbalance.potentials import snapshot
+    g = make_graph("cycle", n=4)
+    sp = SpeedProfile.from_rationals([1, 2, 1, 2])
+    counts = ((12, 0, 0, 0), (2, 4, 2, 4), (0, 9, 0, 0), (5, 5, 5, 5), (30, 0, 0, 0),
+              (1, 2, 1, 2))
+    if weighted:
+        starts = [LoadState.weighted([[(0.75, 0.5, 1.0)[k % 3] for k in range(c)]
+                                      for c in cs]) for cs in counts]
+    else:
+        starts = [LoadState.uniform(cs) for cs in counts]
+    results = measure_convergence(g, sp, lambda t: starts[t], ProtocolParams(rng_seed=7),
+                                  StopRule("exact-ne"), trials=len(starts),
+                                  round_cap=round_cap, collect_trace=True).results
+    executed = [r.rounds_executed for r in results]
+    assert len(set(executed)) > 2
+    assert (round_cap == 30) == any(r.truncated for r in results)
+    assert not all(r.truncated for r in results)
+    total = sum(executed) + len(results)
+    for res, start in zip(results, starts):
+        trace = res.trace
+        assert trace.round.tolist() == list(range(res.rounds_executed + 1))
+        for column in trace:
+            assert len(column) == res.rounds_executed + 1 and not column.flags.writeable
+            assert column.base is not None and len(column.base) == total
+        first = snapshot(g, sp, start)
+        last = res.final_snapshot
+        for row, snap, state in ((0, first, start), (-1, last, res.final_state)):
+            loads = state.loads(sp)
+            assert (trace.psi0[row], trace.psi1[row], trace.l_delta[row],
+                    trace.max_load[row], trace.min_load[row]) == \
+                (snap.psi0, snap.psi1, snap.l_delta, loads.max(), loads.min())
+        assert trace.moves[0] == 0
+        values = np.stack(trace[1:6], axis=1)
+        idle = np.flatnonzero(trace.moves == 0)[1:]
+        assert (values[idle] == values[idle - 1]).all()
+    assert results[0].trace == results[0].trace and results[0].trace != results[1].trace
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,13 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netbalance.analysis import TRACE_HEADER, TRACE_ROW
 from netbalance.cli import (
     CONFIG_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFICATION,
+    fmt17,
     main,
     parse_config,
     render_json,
@@ -135,6 +140,27 @@ def test_render_json_formatting():
     assert parsed["a"] == 0.1
     assert parsed["b"] == [1, None, True]
     assert "0.10000000000000001" in out  # 17 significant digits
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=2.0**53, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.0**53,
+                     2.0**53 + 2, 1e300]))
+_INTS = st.integers(-(2**63), 2**63 - 1)
+_TRACE_VALUES = st.one_of(_FLOATS, _FLOATS.map(np.float64), _INTS.map(np.int64),
+                          st.integers(-(2**1000), 2**1000))
+_TRACE_COUNTS = st.one_of(_INTS, _INTS.map(np.int64))
+
+
+@settings(deadline=None)
+@given(_TRACE_COUNTS, st.lists(_TRACE_VALUES, min_size=5, max_size=5), _TRACE_COUNTS)
+def test_trace_row_template_matches_fmt17(rnd, values, moves):
+    # A trace CSV row is TRACE_ROW over the trial's columns; its bytes are
+    # those of str for the counts and fmt17 for the floats.
+    assert TRACE_ROW.count("%") == len(TRACE_HEADER)
+    assert TRACE_ROW % (rnd, *values, moves) == \
+        ",".join([str(rnd), *map(fmt17, values), str(moves)])
 
 
 def test_cmd_run_tiny_exact_ne(tmp_path):

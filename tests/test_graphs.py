@@ -1,12 +1,13 @@
 """Graph construction, combinatorial quantities, and the edge-list format."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from netbalance import graphs, spectral
-from netbalance.cli import EXIT_CONFIG, main as cli_main
+from netbalance.cli import EXIT_CONFIG, EXIT_OK, main as cli_main
 from netbalance.errors import ConfigError, DisconnectedGraphError
 from netbalance.graphs import (
     GraphTopology,
@@ -113,6 +114,17 @@ def test_building_a_graph_makes_one_bfs(monkeypatch, tmp_path):
     (tmp_path / "path.txt").write_text("9\n" + "".join(f"{u} {u + 1}\n" for u in range(8)))
     assert cli_main(["spectra", "--edge-list", str(tmp_path / "path.txt")]) == EXIT_CONFIG
     assert sources == [0]
+    # A run reads no diameter: summary.json has none, and the build's BFS is
+    # the run's only one.
+    sources.clear()
+    (tmp_path / "short.txt").write_text("6\n" + "".join(f"{u} {u + 1}\n" for u in range(5)))
+    (tmp_path / "run.cfg").write_text(
+        "graph.family = explicit\ngraph.edge_list = short.txt\ntasks.count = 30\n"
+        "run.trials = 2\nrun.stop = exact-ne\nrun.master_seed = 5\n")
+    assert cli_main(["run", str(tmp_path / "run.cfg")]) == EXIT_OK
+    assert sources == [0]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert set(summary["graph"]) == {"family", "n", "edges", "max_degree"}
 
 
 def test_pair_degree():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netbalance import protocol
 from netbalance.analysis import StopRule, run_trial
 from netbalance.errors import ConfigError
 from netbalance.graphs import make_graph
@@ -342,6 +343,26 @@ def test_rounds_carry_node_units_without_a_re_sum(monkeypatch):
     wrong[3, 5] += 1
     with pytest.raises(RuntimeError, match="carried W_i disagrees"):
         LoadState._carrying(stack.counts, stack.tasks, wrong).check_node_units()
+
+
+def test_task_store_size_limit(monkeypatch):
+    # A task store past MAX_STORE_SLOTS is refused where it is allocated:
+    # at ingest (tasks plus the spare slot) and when a round packs. The
+    # limit is patched down to 40 slots; nothing that large is allocated.
+    monkeypatch.setattr(protocol, "MAX_STORE_SLOTS", 40)
+    LoadState.weighted([[1.0] * 39, []])
+    with pytest.raises(ConfigError, match="task store of 41 slots"):
+        LoadState.weighted([[1.0] * 40, []])
+    with pytest.raises(ConfigError, match="task store of 41 slots"):
+        LoadState.stack([LoadState.weighted([[1.0] * 20, []])] * 2)
+    # 30 tasks fit in 31 slots; the first round that moves any packs both
+    # blocks with c + c//4 + 4 slots each, 44 or more in all.
+    state = LoadState.weighted([[1.0] * 30, []])
+    kernel = RoundKernel(K2, UNI2, params(seed=2))
+    with pytest.raises(ConfigError, match="exceeds the limit of 40"):
+        kernel.step(state, 0, triggers(K2, UNI2, state))
+    monkeypatch.undo()
+    assert kernel.step(state, 0, triggers(K2, UNI2, state))[1] > 0
 
 
 def test_block_sums_of_empty_nodes_rows_and_states():
