@@ -12,7 +12,6 @@ from .analysis import (
     TrialResult,
     measure_convergence,
     run_trial,
-    scaling_experiment,
     verify_lemma_suite,
 )
 from .corpus import CorpusCase, default_corpus

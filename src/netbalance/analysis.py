@@ -22,7 +22,7 @@ import numpy as np
 from . import potentials
 from .corpus import CorpusCase, default_corpus
 from .errors import ConfigError
-from .graphs import GraphTopology, make_graph
+from .graphs import GraphTopology
 from .potentials import (
     PotentialSnapshot,
     critical_value,
@@ -31,7 +31,6 @@ from .potentials import (
     exact_expected_psi1_drop,
     exact_psi0_and_ldelta2,
     exact_variance_sum,
-    gamma_factor,
     phi1_drop_routes,
     psi0_lambda2_bound,
     psi0_value,
@@ -44,7 +43,6 @@ from .protocol import (
     MODE_UNIFORM,
     ProtocolParams,
     RoundKernel,
-    all_on_one_state,
     default_alpha,
     exact_ne_alpha,
     is_approx_nash,
@@ -320,59 +318,6 @@ def quartiles(values: Sequence[int]) -> tuple[float, float, float]:
         return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo))
 
     return at(0.25), at(0.5), at(0.75)
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    n: int
-    m: int
-    lambda2: float
-    gamma: float
-    median_rounds: float | None
-    fraction_truncated: float
-
-
-def _family_graph(family: str, n: int) -> GraphTopology:
-    if family == "hypercube":
-        dim = n.bit_length() - 1
-        if 1 << dim != n:
-            raise ConfigError(f"hypercube size must be a power of two, got {n}")
-        return make_graph("hypercube", dim=dim)
-    if family in ("torus2d", "grid2d"):
-        root = int(np.sqrt(n))
-        while n % root:
-            root -= 1
-        if root < 2:
-            raise ConfigError(f"{family} size {n} has no rows x cols factorization with rows >= 2")
-        return make_graph(family, rows=root, cols=n // root)
-    return make_graph(family, n=n)
-
-
-def scaling_experiment(family: str, sizes: Sequence[int], *, master_seed: int,
-                       trials: int) -> list[ScalingRow]:
-    """Median rounds to psi0 <= 4*psi_c across sizes of one family.
-
-    The trend-check setup: m = n^3 unit tasks, uniform speeds, worst-case
-    all-on-one start, cap at 4*gamma*ln(m/n) (not binding in practice).
-    """
-    stop = StopRule("psi-threshold")
-    rows = []
-    for n in sizes:
-        g = _family_graph(family, n)
-        sp = SpeedProfile.uniform(g.node_count)
-        m = g.node_count ** 3
-        lam2 = lambda2_of(g)
-        gam = gamma_factor(g, sp, lam2)
-        cap = int(np.ceil(4.0 * gam * np.log(max(m / g.node_count, 2.0)))) + 1
-        params = ProtocolParams(rng_seed=derive_seed(master_seed, n))
-        summary = measure_convergence(
-            g, sp, all_on_one_state(g.node_count, m), params, stop, trials, cap)
-        rows.append(ScalingRow(
-            n=g.node_count, m=m, lambda2=lam2, gamma=gam,
-            median_rounds=summary.median_rounds,
-            fraction_truncated=summary.fraction_truncated,
-        ))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -333,10 +333,10 @@ def _trial_payload(res: TrialResult, stop: StopRule) -> dict:
     }
 
 
-def cmd_run(config_path, out_dir_override=None) -> int:
-    cfg = load_config(config_path)
-    base = Path(config_path).resolve().parent
-    g = build_graph(cfg, base)
+def run_config(cfg: ExperimentConfig, base_dir: Path) -> tuple[dict, tuple[TrialResult, ...]]:
+    """Run the experiment `cfg` describes; return the summary.json payload and
+    the trial results. Writes nothing; an explicit edge list is read from base_dir."""
+    g = build_graph(cfg, base_dir)
     sp = build_speeds(cfg, g.node_count)
     init_spec = build_init_spec(cfg, g)
     params = build_params(cfg, sp)
@@ -349,17 +349,6 @@ def cmd_run(config_path, out_dir_override=None) -> int:
         g, sp, init_spec, params, stop, cfg.run_trials, cfg.run_round_cap,
         psi_threshold=4.0 * psi_c, approx_eps=cfg.protocol_eps,
         collect_trace=cfg.output_trace)
-
-    # Made only now, so that a config error caught above leaves no directory.
-    out_dir = Path(out_dir_override) if out_dir_override else base / cfg.output_directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.output_trace:
-        header = ",".join(analysis.TRACE_HEADER)
-        for res in summary.results:
-            rows = zip(*(column.tolist() for column in res.trace))
-            lines = [header, *(analysis.TRACE_ROW % row for row in rows)]
-            (out_dir / f"trace_{res.trial_id}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     payload = {
         "config": {k: CONFIG_KEYS[k][2](getattr(cfg, CONFIG_KEYS[k][0]))
@@ -387,8 +376,30 @@ def cmd_run(config_path, out_dir_override=None) -> int:
         "fraction_truncated": summary.fraction_truncated,
         "per_trial": [_trial_payload(r, stop) for r in summary.results],
     }
+    return payload, summary.results
+
+
+def write_run(out_dir: Path, payload: dict, results: tuple[TrialResult, ...]) -> None:
+    """Write summary.json and, for each result that holds a trace, trace_<t>.csv."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = ",".join(analysis.TRACE_HEADER)
+    for res in results:
+        if res.trace is not None:
+            rows = zip(*(column.tolist() for column in res.trace))
+            lines = [header, *(analysis.TRACE_ROW % row for row in rows)]
+            (out_dir / f"trace_{res.trial_id}.csv").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     (out_dir / "summary.json").write_text(render_json(payload) + "\n",
                                           encoding="utf-8", newline="\n")
+
+
+def cmd_run(config_path, out_dir_override=None) -> int:
+    cfg = load_config(config_path)
+    base = Path(config_path).resolve().parent
+    payload, results = run_config(cfg, base)
+    # The directory is made only now, so that a config error leaves none.
+    write_run(Path(out_dir_override) if out_dir_override else base / cfg.output_directory,
+              payload, results)
     return EXIT_OK
 
 

@@ -6,14 +6,17 @@ confidence and growth-trend ratios inside fixed windows. Everything is seeded
 and deterministic; stated runtime limits are asserted.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 import netbalance as nb
-from netbalance.analysis import StopRule, measure_convergence, verify_lemma_suite, scaling_experiment
+from netbalance.analysis import StopRule, measure_convergence, verify_lemma_suite
+from netbalance.cli import ExperimentConfig, build_graph, parse_config, run_config
 from netbalance.cli import main as cli_main
 from netbalance.corpus import corpus_graphs, corpus_speeds, corpus_task_count, default_corpus
 from netbalance.graphs import isoperimetric_number
@@ -231,18 +234,40 @@ def test_criterion_7_exact_ne_convergence():
            f"{elapsed:.1f}s")
 
 
+def trend_config(family: str, n: int) -> ExperimentConfig:
+    """Criterion 8's row for n nodes of `family`: m = n^3 unit tasks on node 0,
+    uniform speeds, cap 4*gamma*ln(m/n) + 1 (not binding in practice)."""
+    base = parse_config(f"graph.family = {family}\n")
+    size = {"graph_dim": n.bit_length() - 1} if family == "hypercube" else {"graph_n": n}
+    m = n ** 3
+    cfg = dataclasses.replace(
+        base, **size, tasks_count=m, run_trials=50, run_stop="psi-threshold",
+        run_master_seed=derive_seed(ACCEPT_SEED, n))
+    g = build_graph(cfg, Path())
+    gamma = gamma_factor(g, SpeedProfile.uniform(n), lambda2_of(g))
+    return dataclasses.replace(
+        cfg, run_round_cap=math.ceil(4.0 * gamma * math.log(max(m / n, 2.0))) + 1)
+
+
 def test_criterion_8_trend_check():
     t0 = time.time()
     windows = {"complete": (1.0, 4.0), "cycle": (2.0, 16.0), "hypercube": (1.0, 6.0)}
     details = []
     ok = True
     for family, (lo, hi) in windows.items():
-        rows = scaling_experiment(family, [16, 32], master_seed=ACCEPT_SEED, trials=50)
-        r16, r32 = rows
-        assert r16.fraction_truncated == 0.0 and r32.fraction_truncated == 0.0
-        ratio = r32.median_rounds / r16.median_rounds
+        medians = []
+        for n in (16, 32):
+            cfg = trend_config(family, n)
+            payload, _ = run_config(cfg, Path())
+            # The row's config block is a config that `netbalance run` reproduces.
+            assert parse_config("".join(
+                f"{key} = {value}\n" for key, value in payload["config"].items())) == cfg
+            assert payload["fraction_truncated"] == 0.0
+            medians.append(payload["hitting"]["median"])
+        m16, m32 = medians
+        ratio = m32 / m16
         ok = ok and lo <= ratio <= hi
-        details.append(f"{family}: median {r16.median_rounds:.0f}->{r32.median_rounds:.0f} "
+        details.append(f"{family}: median {m16:.0f}->{m32:.0f} "
                        f"ratio={ratio:.2f} in [{lo}, {hi}]")
     elapsed = time.time() - t0
     report("criterion 8 (growth trends at m = n^3)", ok and elapsed < 900.0,

@@ -1,4 +1,4 @@
-"""Trials, convergence summaries, scaling rows, and the lemma suite."""
+"""Trials, convergence summaries, and the lemma suite."""
 
 import dataclasses
 from fractions import Fraction
@@ -14,7 +14,6 @@ from netbalance.analysis import (
     measure_convergence,
     quartiles,
     run_trial,
-    scaling_experiment,
     verify_lemma_suite,
 )
 from netbalance.corpus import corpus_task_count, default_corpus
@@ -256,17 +255,6 @@ def test_median_hitting_grows_logarithmically_in_m():
         medians[m] = summary.median_rounds
     slack = 0.5 * medians[4096]
     assert medians[8192] - medians[4096] <= 2 * gamma * math.log(2) + slack
-
-
-def test_scaling_experiment_smoke():
-    rows = scaling_experiment("complete", [4, 8], master_seed=2, trials=3)
-    assert [r.n for r in rows] == [4, 8]
-    for row in rows:
-        assert row.fraction_truncated == 0.0
-        assert row.median_rounds is not None
-        assert row.m == row.n ** 3
-    with pytest.raises(ConfigError):
-        scaling_experiment("hypercube", [6], master_seed=2, trials=1)
 
 
 def test_lemma_suite_passes_on_default_corpus():

@@ -22,6 +22,7 @@ from netbalance.cli import (
     main,
     parse_config,
     render_json,
+    run_config,
 )
 from netbalance.errors import ConfigError
 
@@ -181,13 +182,29 @@ def test_cmd_run_tiny_exact_ne(tmp_path):
     assert trace[-1].split(",")[-1] != ""
 
 
-def test_cmd_run_byte_identical_reruns(tmp_path):
+def test_cmd_run_byte_identical_reruns(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, BASIC_CONFIG)
     assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "a")]) == EXIT_OK
     assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "b")]) == EXIT_OK
     for name in ("summary.json", "trace_0.csv", "trace_1.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+    # run_config is `run` without the writer: it makes no file or directory,
+    # and its payload and traces hold the bytes that `run` wrote.
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    payload, results = run_config(parse_config(BASIC_CONFIG), tmp_path)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (render_json(payload) + "\n").encode("utf-8") == \
+        (tmp_path / "a" / "summary.json").read_bytes()
+    assert [res.trial_id for res in results] == [0, 1]
+    for res in results:
+        lines = [",".join(TRACE_HEADER)]
+        for rnd, *values, moves in zip(*(column.tolist() for column in res.trace)):
+            lines.append(",".join([str(rnd), *map(fmt17, values), str(moves)]))
+        assert ("\n".join(lines) + "\n").encode("utf-8") == \
+            (tmp_path / "a" / f"trace_{res.trial_id}.csv").read_bytes()
 
 
 def test_cmd_run_bad_config_exit_code(tmp_path):

@@ -4,9 +4,11 @@ The tracer wraps package functions by (module, attribute) name. A target that
 no longer resolves does not stop a traced run: the metrics built on it are
 reported as unmeasured. The benchmark command's last output line must be one
 JSON object. Both failures leave a run that exits 0, so they are caught here
-instead.
+instead. A tracer target is also the one reason a package module may import a
+name it never uses.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -16,16 +18,43 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "netbalance"
 
 
-def test_every_tracer_target_resolves():
+def _tracer_targets():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.TARGETS
-    for module, attr, *_ in tracer.TARGETS:
+    return tracer.TARGETS
+
+
+def test_every_tracer_target_resolves():
+    targets = _tracer_targets()
+    assert targets
+    for module, attr, *_ in targets:
         assert callable(getattr(importlib.import_module(module), attr, None)), \
             f"{module}.{attr}"
+
+
+def test_no_unused_imports_but_tracer_targets():
+    targets = _tracer_targets()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        wrapped = {attr for module, attr, *_ in targets
+                   if module == f"netbalance.{path.stem}"}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used - wrapped)]
+    assert not unused, unused
 
 
 def _perfbench(*args: str) -> list[str]:
